@@ -51,20 +51,18 @@ type Engine struct {
 
 	// Durability (see live.go). walOn arms the write-ahead log under
 	// walPolicy/walFS; tailBudget (in tail readings) arms the
-	// background-checkpoint trigger on ckptC.
+	// background checkpointer.
 	walOn      bool
 	walPolicy  wal.SyncPolicy
 	walFS      wal.FS
 	tailBudget int64
-	ckptC      chan struct{}
+	ckpt       *wal.Checkpointer
 
-	// retired holds segment stores replaced by Checkpoint but kept
-	// open so outstanding snapshot cursors stay readable; detach
-	// closes them.
+	// retired holds paged segment stores replaced by Checkpoint but
+	// kept open so outstanding snapshot cursors stay readable; detach
+	// closes them. In-core stores are not retired: a cursor's own
+	// pointer keeps the image alive exactly as long as it is read.
 	retired []*segStore
-
-	ckptErrMu sync.Mutex
-	ckptErr   error
 
 	// liveMu guards lazy creation of the live tail; the tail has its
 	// own internal locking (see live.go).
@@ -87,8 +85,8 @@ func WithMemBudget(bytes int64) Option {
 	}
 }
 
-// WithWAL arms the write-ahead log: every Append is framed into a
-// per-shard log under <dir>/wal before it is acked, with the given
+// WithWAL arms the write-ahead log: every Append is framed into the
+// log under <dir>/wal before it is acked, with the given
 // fsync policy, and replayed through the idempotent append path on
 // reopen. See internal/wal for the format and policy semantics.
 func WithWAL(policy wal.SyncPolicy) Option {
@@ -126,9 +124,9 @@ const SegmentFileName = "segments.col"
 // New returns a column-store engine whose segment file lives under dir.
 func New(dir string, opts ...Option) *Engine {
 	e := &Engine{
-		dir:   dir,
-		path:  filepath.Join(dir, SegmentFileName),
-		ckptC: make(chan struct{}, 1),
+		dir:  dir,
+		path: filepath.Join(dir, SegmentFileName),
+		ckpt: wal.NewCheckpointer(),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -167,7 +165,7 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	if e.walOn {
 		// The fresh base replaces whatever state an old log belonged
 		// to; replaying it would corrupt the new dataset.
-		if err := wal.Clear(e.walDir(), liveShards, e.walFS); err != nil {
+		if err := wal.Clear(e.walDir(), e.walFS); err != nil {
 			return nil, fmt.Errorf("colstore: %w", err)
 		}
 	}
@@ -220,21 +218,7 @@ func writeDataset(path string, ds *timeseries.Dataset) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("colstore: rename segments: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a rename into it survives a power
-// failure — the second half of the temp-file-then-rename protocol.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("colstore: sync dir: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("colstore: sync dir: %w", err)
-	}
-	if err := d.Close(); err != nil {
+	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("colstore: sync dir: %w", err)
 	}
 	return nil
@@ -571,8 +555,8 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	if err := os.Rename(tmp, e.path); err != nil {
 		return fmt.Errorf("colstore: rewrite segments: %w", err)
 	}
-	if err := syncDir(e.dir); err != nil {
-		return err
+	if err := wal.SyncDir(e.dir); err != nil {
+		return fmt.Errorf("colstore: sync dir: %w", err)
 	}
 	e.detach()
 	return e.attach()
@@ -589,41 +573,12 @@ var _ core.DeltaAppender = (*Engine)(nil)
 // ingestion path keeps running, bounded-loss, until the next trigger
 // retries.
 func (e *Engine) StartCheckpointer(ctx context.Context) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-e.ckptC:
-				if err := e.Checkpoint(); err != nil {
-					e.ckptErrMu.Lock()
-					e.ckptErr = err
-					e.ckptErrMu.Unlock()
-				}
-			}
-		}
-	}()
-	return done
+	return e.ckpt.Start(ctx, e.Checkpoint)
 }
 
 // CheckpointErr returns the most recent background-checkpoint failure,
 // nil if none.
-func (e *Engine) CheckpointErr() error {
-	e.ckptErrMu.Lock()
-	defer e.ckptErrMu.Unlock()
-	return e.ckptErr
-}
-
-// triggerCheckpoint signals the checkpointer without blocking; a
-// pending signal already covers the crossing.
-func (e *Engine) triggerCheckpoint() {
-	select {
-	case e.ckptC <- struct{}{}:
-	default:
-	}
-}
+func (e *Engine) CheckpointErr() error { return e.ckpt.Err() }
 
 // Crash simulates a process death for recovery tests: every file
 // handle drops with no flush, sync or checkpoint. The engine object is

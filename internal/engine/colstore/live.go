@@ -19,7 +19,7 @@ import (
 // grows in place; instead each household accumulates an in-memory tail
 // beyond the immutable base segment. Tails are sharded across
 // independently locked maps so concurrent writers on disjoint
-// households (core.ShardFor) never contend, and a tail seals every
+// households (core.ShardFor) apply in parallel, and a tail seals every
 // completed day into a compressed colcodec block — the same encoding
 // SegmentWriter uses — so resident cost stays near the on-disk ratio.
 // Checkpoint folds base + tails into a fresh segment file through
@@ -35,11 +35,12 @@ import (
 //
 // Durability. Without WithWAL the tail lives in memory only: Release,
 // Load and OpenExisting drop it, and Checkpoint is the only way to
-// keep appended data. With WithWAL armed, every batch is framed into a
-// per-shard write-ahead log (internal/wal) before Append acks — under
-// the shard lock, so log order equals apply order — and replayed
-// through this same idempotent apply path on reopen. Duplicates in the
-// log (retried batches are re-logged whole) fall into the r.Hour <
+// keep appended data. With WithWAL armed, every batch is one record in
+// the engine's write-ahead log (internal/wal) before Append acks —
+// written under the locks of the shards the batch touches, so for
+// every household log order equals apply order — and replayed through
+// this same idempotent apply path on reopen. Duplicates in the log
+// (retried batches are re-logged whole) fall into the r.Hour <
 // expected no-op, so recovery is bit-exact with a no-crash run over
 // the acked prefix. Checkpoint folds the common prefix of every
 // household into a fresh segment file (temp file + fsync + rename +
@@ -76,10 +77,9 @@ func (ls *liveSeries) hours() int {
 }
 
 type liveShard struct {
-	mu     sync.Mutex
-	m      map[timeseries.ID]*liveSeries
-	enc    colcodec.Encoder
-	logBuf []core.Reading // WAL framing scratch, reused per batch
+	mu  sync.Mutex
+	m   map[timeseries.ID]*liveSeries
+	enc colcodec.Encoder
 }
 
 // liveTail is the engine's live-ingestion state.
@@ -95,8 +95,8 @@ type liveTail struct {
 
 	shards [liveShards]liveShard
 
-	// wlog, when non-nil, is the armed write-ahead log. Shard si's
-	// batches frame into log shard si under the shard lock.
+	// wlog, when non-nil, is the armed write-ahead log. A batch is
+	// framed into it under the locks of every shard it touches.
 	wlog *wal.Log
 
 	tempMu   sync.Mutex
@@ -133,7 +133,6 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 	if e.walOn {
 		lg, err := wal.Open(wal.Options{
 			Dir:    e.walDir(),
-			Shards: liveShards,
 			Policy: e.walPolicy,
 			FS:     e.walFS,
 		})
@@ -141,15 +140,13 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 			return nil, fmt.Errorf("colstore: %w", err)
 		}
 		// Recovery: replay the acked batches through the same
-		// idempotent apply path live writes take. Readings already in
-		// the base (a checkpoint outran the log rewrite) fall into the
-		// duplicate no-op; the epoch is untouched — it restarts at the
-		// reopened state's zero, per the core.Appender contract.
-		err = lg.Replay(func(shard int, batch []core.Reading) error {
-			if err := lt.extendTemp(batch); err != nil {
-				return err
-			}
-			_, _, err := lt.applyShard(shard, batch, false)
+		// idempotent apply path live writes take (lt.wlog is still nil,
+		// so nothing is re-logged). Readings already in the base (a
+		// checkpoint outran the log rewrite) fall into the duplicate
+		// no-op; the epoch is untouched — it restarts at the reopened
+		// state's zero, per the core.Appender contract.
+		err = lg.Replay(func(batch []core.Reading) error {
+			_, err := lt.apply(batch)
 			return err
 		})
 		if err != nil {
@@ -174,129 +171,90 @@ func (e *Engine) liveHours() int64 {
 
 // Append implements core.Appender. It is safe for concurrent use with
 // itself and Snapshot; writers whose batches touch disjoint shards
-// (pre-split with core.ShardFor) proceed in parallel. With the WAL
-// armed, the batch is framed into the per-shard log before Append
-// returns, and — under SyncBatch/SyncAlways — group-committed to disk,
-// so a nil return means the batch survives a crash.
+// (pre-split with core.ShardFor) apply in parallel. With the WAL armed,
+// the batch is one log record before Append returns, and — under
+// SyncBatch/SyncAlways — group-committed to disk, so a nil return
+// means the batch survives a crash.
 func (e *Engine) Append(batch []core.Reading) error {
 	lt, err := e.ensureLive()
 	if err != nil {
 		return err
 	}
 	lt.ingestMu.RLock()
-	if err := lt.extendTemp(batch); err != nil {
+	seq, err := lt.apply(batch)
+	if err == nil && lt.wlog != nil {
+		// Group commit outside the shard locks: concurrent writers
+		// share the leader's fsync instead of serializing on it.
+		err = lt.wlog.Commit(seq)
+	}
+	if err != nil {
 		lt.ingestMu.RUnlock()
 		return err
-	}
-	var present [liveShards]bool
-	for i := range batch {
-		present[core.ShardFor(batch[i].ID, liveShards)] = true
-	}
-	var seqs [liveShards]uint64
-	var logged [liveShards]bool
-	for s := range present {
-		if !present[s] {
-			continue
-		}
-		seq, lg, err := lt.applyShard(s, batch, true)
-		if err != nil {
-			lt.ingestMu.RUnlock()
-			return err
-		}
-		seqs[s], logged[s] = seq, lg
-	}
-	// Group commit outside the shard locks: concurrent writers on one
-	// shard share the leader's fsync instead of serializing on it.
-	if lt.wlog != nil {
-		for s := range logged {
-			if !logged[s] {
-				continue
-			}
-			if err := lt.wlog.Commit(s, seqs[s]); err != nil {
-				lt.ingestMu.RUnlock()
-				return err
-			}
-		}
 	}
 	lt.epoch.Add(1)
 	applied := lt.applied.Load()
 	lt.ingestMu.RUnlock()
 	if e.tailBudget > 0 && applied >= e.tailBudget {
-		e.triggerCheckpoint()
+		e.ckpt.Trigger()
 	}
 	return nil
 }
 
-// extendTemp grows the shared temperature column to cover the batch.
-// A reading at an hour the column already covers is a no-op (shared
-// column, idempotent redelivery); a reading beyond the next hour is a
-// gap — unreachable for callers honoring the per-household contiguity
-// contract, since no household can be ahead of the column.
-func (lt *liveTail) extendTemp(batch []core.Reading) error {
-	lt.tempMu.Lock()
-	defer lt.tempMu.Unlock()
-	for i := range batch {
-		r := &batch[i]
-		if r.Hour < 0 {
-			return fmt.Errorf("colstore: negative hour %d for household %d", r.Hour, r.ID)
-		}
-		n := lt.baseN + len(lt.tempTail)
-		switch {
-		case r.Hour < n:
-			// temperature for this hour is already stored
-		case r.Hour == n:
-			lt.tempTail = append(lt.tempTail, r.Temperature)
-		default:
-			return fmt.Errorf("colstore: temperature gap: reading at hour %d, column covers %d", r.Hour, n)
-		}
-	}
-	return nil
-}
-
-// applyShard applies the batch's readings belonging to shard si, in
-// batch order. Redelivered hours (below the household's next expected
-// hour) are skipped, making retried batches apply exactly once.
+// apply locks the tail shards the batch touches, in ascending order,
+// and validates the whole batch. Still holding those locks, it frames
+// the batch into the log (when armed) as one record and then applies
+// it, so for every household log order equals apply order, and memory
+// never holds a reading the log lacks. A rejected batch changes neither
+// memory nor the log. The returned seq is for Commit (zero when nothing
+// was logged).
 //
-// With logIt set and the WAL armed, the shard's slice of the batch is
-// framed into log shard si before the lock is released — including
-// redelivered readings, deliberately: a batch whose first attempt
-// applied in memory but failed to reach the log must still land in the
-// log when the caller retries and gets its ack, or the ack would
-// promise durability the log cannot deliver. Replay skips the
-// duplicates just like this loop does. The returned seq is meaningful
-// only when logged is true; the caller must Commit it before acking.
-func (lt *liveTail) applyShard(si int, batch []core.Reading, logIt bool) (seq uint64, logged bool, err error) {
-	sh := &lt.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	logIt = logIt && lt.wlog != nil
-	sh.logBuf = sh.logBuf[:0]
+// Redelivered hours (below the household's next expected hour) are
+// skipped, making retried batches apply exactly once — but they are
+// logged with the rest, deliberately: a batch whose first attempt
+// reached memory but failed its commit must land in the log again when
+// the caller retries and gets its ack, or the ack would promise
+// durability the log cannot deliver. Replay skips the duplicates just
+// like this loop does.
+func (lt *liveTail) apply(batch []core.Reading) (seq uint64, err error) {
+	var touched [liveShards]bool
+	for i := range batch {
+		touched[core.ShardFor(batch[i].ID, liveShards)] = true
+	}
+	for si := range touched {
+		if touched[si] {
+			lt.shards[si].mu.Lock()
+		}
+	}
+	defer func() {
+		for si := range touched {
+			if touched[si] {
+				lt.shards[si].mu.Unlock()
+			}
+		}
+	}()
+	if err := lt.validate(batch); err != nil {
+		return 0, err
+	}
+	if lt.wlog != nil && len(batch) > 0 {
+		if seq, err = lt.wlog.Append(batch); err != nil {
+			return 0, err
+		}
+	}
+	lt.extendTemp(batch)
 	var applied int64
 	for i := range batch {
 		r := &batch[i]
-		if core.ShardFor(r.ID, liveShards) != si {
-			continue
-		}
-		if logIt {
-			sh.logBuf = append(sh.logBuf, *r)
-		}
+		sh := &lt.shards[core.ShardFor(r.ID, liveShards)]
 		ls := sh.m[r.ID]
 		if ls == nil {
-			if r.ID <= 0 {
-				return 0, false, fmt.Errorf("colstore: household id must be positive, got %d", r.ID)
-			}
 			ls = &liveSeries{id: r.ID}
 			if _, ok := lt.baseIDs[r.ID]; ok {
 				ls.base = lt.baseN
 			}
 			sh.m[r.ID] = ls
 		}
-		expected := ls.hours()
-		if r.Hour < expected {
+		if r.Hour < ls.hours() {
 			continue // duplicate redelivery: already committed
-		}
-		if r.Hour > expected {
-			return 0, false, fmt.Errorf("colstore: household %d: gap at hour %d, expected %d", r.ID, r.Hour, expected)
 		}
 		ls.open = append(ls.open, r.Consumption)
 		applied++
@@ -308,16 +266,75 @@ func (lt *liveTail) applyShard(si int, batch []core.Reading, logIt bool) (seq ui
 		}
 	}
 	lt.applied.Add(applied)
-	if logIt && len(sh.logBuf) > 0 {
-		// Under the shard lock: the log's record order is exactly the
-		// in-memory apply order for this shard.
-		seq, err = lt.wlog.Append(si, sh.logBuf)
-		if err != nil {
-			return 0, false, err
+	return seq, nil
+}
+
+// validate checks the whole batch, in batch order, against the state
+// it would extend, changing nothing: positive household IDs,
+// non-negative hours, and no gap in any household or in the shared
+// temperature column. The caller holds the lock of every shard the
+// batch touches.
+func (lt *liveTail) validate(batch []core.Reading) error {
+	next := make(map[timeseries.ID]int, len(batch)) // next hour per household, batch applied so far
+	for i := range batch {
+		r := &batch[i]
+		if r.ID <= 0 {
+			return fmt.Errorf("colstore: household id must be positive, got %d", r.ID)
 		}
-		logged = true
+		if r.Hour < 0 {
+			return fmt.Errorf("colstore: negative hour %d for household %d", r.Hour, r.ID)
+		}
+		expected, ok := next[r.ID]
+		if !ok {
+			expected = lt.committedHours(r.ID)
+		}
+		if r.Hour > expected {
+			return fmt.Errorf("colstore: household %d: gap at hour %d, expected %d", r.ID, r.Hour, expected)
+		}
+		if r.Hour == expected {
+			expected++
+		}
+		next[r.ID] = expected
 	}
-	return seq, logged, nil
+	// The column only grows, so a batch that fits it now still fits
+	// when extendTemp runs.
+	lt.tempMu.Lock()
+	n := lt.baseN + len(lt.tempTail)
+	lt.tempMu.Unlock()
+	for i := range batch {
+		switch h := batch[i].Hour; {
+		case h == n:
+			n++
+		case h > n:
+			return fmt.Errorf("colstore: temperature gap: reading at hour %d, column covers %d", h, n)
+		}
+	}
+	return nil
+}
+
+// committedHours is the household's next expected hour. The caller
+// holds the household's shard lock.
+func (lt *liveTail) committedHours(id timeseries.ID) int {
+	if ls := lt.shards[core.ShardFor(id, liveShards)].m[id]; ls != nil {
+		return ls.hours()
+	}
+	if _, ok := lt.baseIDs[id]; ok {
+		return lt.baseN
+	}
+	return 0
+}
+
+// extendTemp grows the shared temperature column over a validated
+// batch. A reading at an hour the column already covers is a no-op
+// (shared column, idempotent redelivery).
+func (lt *liveTail) extendTemp(batch []core.Reading) {
+	lt.tempMu.Lock()
+	defer lt.tempMu.Unlock()
+	for i := range batch {
+		if r := &batch[i]; r.Hour == lt.baseN+len(lt.tempTail) {
+			lt.tempTail = append(lt.tempTail, r.Temperature)
+		}
+	}
 }
 
 // snapItem is one household's captured state: an optional base segment
@@ -487,8 +504,8 @@ func (c *snapCursor) SnapshotTemp() *timeseries.Temperature {
 // fsync): a crash mid-checkpoint leaves the old segment intact and,
 // with the WAL armed, the full log to replay over it. Epochs keep
 // counting across a checkpoint, and snapshot cursors taken before it
-// stay readable — the replaced store is retired, not closed, until
-// Release.
+// stay readable: a replaced paged store is retired, not closed, until
+// Release; a replaced in-core image lives as long as a cursor holds it.
 func (e *Engine) Checkpoint() error {
 	lt, err := e.ensureLive()
 	if err != nil {
@@ -599,13 +616,15 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 	if err := os.Rename(tmp, e.path); err != nil {
 		return fmt.Errorf("colstore: checkpoint rename: %w", err)
 	}
-	if err := syncDir(e.dir); err != nil {
-		return err
+	if err := wal.SyncDir(e.dir); err != nil {
+		return fmt.Errorf("colstore: checkpoint: sync dir: %w", err)
 	}
 
-	// Swap in the new base. The old store is retired, not closed:
-	// snapshot cursors taken before this checkpoint keep decoding it.
-	if e.store != nil {
+	// Swap in the new base. A paged old store is retired, not closed:
+	// snapshot cursors taken before this checkpoint keep decoding it
+	// through its file handle. An in-core store holds no handle; the
+	// cursors' own pointers keep its image alive while they read.
+	if e.store != nil && e.store.f != nil {
 		e.retired = append(e.retired, e.store)
 	}
 	e.decoded = nil
@@ -653,7 +672,7 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 	// over the new base and every folded reading lands in the
 	// duplicate no-op.
 	if lt.wlog != nil {
-		var batches [liveShards][][]core.Reading
+		var batches [][]core.Reading
 		for i := range items {
 			it := &items[i]
 			if len(it.rem) == 0 {
@@ -668,13 +687,10 @@ func (e *Engine) checkpointLocked(lt *liveTail) error {
 					Temperature: fullTemp[cut+j],
 				}
 			}
-			si := core.ShardFor(it.id, liveShards)
-			batches[si] = append(batches[si], b)
+			batches = append(batches, b)
 		}
-		for si := range batches {
-			if err := lt.wlog.Rewrite(si, batches[si]); err != nil {
-				return err
-			}
+		if err := lt.wlog.Rewrite(batches); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -297,5 +298,80 @@ func TestLiveSnapshotUnderMemBudget(t *testing.T) {
 		if row[baseN+1] != liveVal(id, baseN+1) {
 			t.Fatalf("household %d: paged snapshot tail mismatch", id)
 		}
+	}
+}
+
+// TestLiveSnapshotOutlivesCheckpoints: a snapshot taken before two
+// checkpoints still reads bit-exact after both. Only paged stores,
+// which hold a file handle, are retired; in-core images are kept alive
+// by the cursor alone, so the engine holds no copy of them.
+func TestLiveSnapshotOutlivesCheckpoints(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		opts        []Option
+		wantRetired int
+	}{
+		{"in-core", nil, 0},
+		{"paged", []Option{WithMemBudget(1 << 12)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, ds := writeSource(t, 3, 2)
+			e := New(t.TempDir(), tc.opts...)
+			defer e.Release()
+			if _, err := e.Load(src); err != nil {
+				t.Fatal(err)
+			}
+			baseN := len(ds.Temperature.Values)
+			var ids []timeseries.ID
+			for _, s := range ds.Series {
+				ids = append(ids, s.ID)
+			}
+			appendHours := func(from, to int) {
+				t.Helper()
+				for h := from; h < to; h++ {
+					if err := e.Append(hourBatch(ids, h)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			appendHours(baseN, baseN+24)
+			old, _, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer old.Close()
+			ref, _, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drainSnap(t, ref)
+			ref.Close()
+
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			appendHours(baseN+24, baseN+48)
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(e.retired); got != tc.wantRetired {
+				t.Errorf("retired stores = %d, want %d", got, tc.wantRetired)
+			}
+			got := drainSnap(t, old)
+			if len(got) != len(want) {
+				t.Fatalf("old snapshot has %d households, want %d", len(got), len(want))
+			}
+			for id, w := range want {
+				g := got[id]
+				if len(g) != len(w) {
+					t.Fatalf("household %d: %d hours, want %d", id, len(g), len(w))
+				}
+				for h := range w {
+					if math.Float64bits(g[h]) != math.Float64bits(w[h]) {
+						t.Fatalf("household %d hour %d: %v, want %v", id, h, g[h], w[h])
+					}
+				}
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/exec/cursortest"
+	"github.com/smartmeter/smartbench/internal/fault"
 	"github.com/smartmeter/smartbench/internal/timeseries"
 	"github.com/smartmeter/smartbench/internal/wal"
 )
@@ -335,10 +336,10 @@ func TestWALBackgroundCheckpointTrigger(t *testing.T) {
 	}
 }
 
-// TestWALTornShardTailRecovers: chopping bytes off every shard log —
-// the torn-write shape a power failure leaves — must never surface a
-// decode error; the engine reopens with each household holding a
-// bit-exact prefix of what was appended.
+// TestWALTornShardTailRecovers: chopping bytes off the log — the
+// torn-write shape a power failure leaves — must never surface a decode
+// error; the engine reopens with each household holding a bit-exact
+// prefix of what was appended.
 func TestWALTornShardTailRecovers(t *testing.T) {
 	dir := t.TempDir()
 	e := New(dir, WithWAL(wal.SyncBatch))
@@ -351,29 +352,19 @@ func TestWALTornShardTailRecovers(t *testing.T) {
 	}
 	e.Crash()
 
-	logs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
+	logPath := filepath.Join(dir, "wal", wal.FileName)
+	fi, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logs) == 0 {
-		t.Fatal("no shard logs on disk")
-	}
-	for _, p := range logs {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() > 11 {
-			if err := os.Truncate(p, fi.Size()-11); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := os.Truncate(logPath, fi.Size()-11); err != nil {
+		t.Fatal(err)
 	}
 
 	re := New(dir, WithWAL(wal.SyncBatch))
 	cur, _, err := re.Snapshot()
 	if err != nil {
-		t.Fatalf("reopen over torn shard tails: %v", err)
+		t.Fatalf("reopen over a torn log tail: %v", err)
 	}
 	defer cur.Close()
 	rows := drainSnap(t, cur)
@@ -387,4 +378,124 @@ func TestWALTornShardTailRecovers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWALRejectedBatchRecovers: a batch rejected part-way through on a
+// gap must change neither memory nor the log. Were its valid prefix
+// applied, a later batch building on it would ack, and replay — which
+// never saw the rejected batch — would fail on the gap, losing every
+// acked reading.
+func TestWALRejectedBatchRecovers(t *testing.T) {
+	dir := t.TempDir()
+	e := New(dir, WithWAL(wal.SyncBatch))
+	for h := 0; h < 8; h++ {
+		ids := []timeseries.ID{3, 4}
+		if h >= 5 {
+			ids = ids[1:] // household 3 stops at hour 4
+		}
+		if err := e.Append(hourBatch(ids, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := func(eng *Engine) map[timeseries.ID][]float64 {
+		t.Helper()
+		cur, _, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		return drainSnap(t, cur)
+	}
+	want := snap(e)
+	at := func(h int) core.Reading { return hourBatch([]timeseries.ID{3}, h)[0] }
+	if err := e.Append([]core.Reading{at(5), at(7)}); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("batch with a gap: err = %v, want a gap error", err)
+	}
+	sameRows(t, snap(e), want)
+	// Hour 5 never applied, so hour 6 is still a gap.
+	if err := e.Append([]core.Reading{at(6)}); err == nil {
+		t.Fatal("hour 6 acked although the rejected batch's hour 5 must not have applied")
+	}
+	e.Crash()
+
+	re := New(dir, WithWAL(wal.SyncBatch))
+	sameRows(t, snap(re), want)
+	re.Crash()
+}
+
+// walShardIDs returns household IDs that between them touch every
+// tail shard.
+func walShardIDs(t *testing.T) []timeseries.ID {
+	t.Helper()
+	var ids []timeseries.ID
+	var seen [liveShards]bool
+	covered := 0
+	for id := timeseries.ID(1); covered < liveShards; id++ {
+		if id > 1000 {
+			t.Fatalf("IDs 1..1000 cover only %d of %d shards", covered, liveShards)
+		}
+		ids = append(ids, id)
+		if s := core.ShardFor(id, liveShards); !seen[s] {
+			seen[s] = true
+			covered++
+		}
+	}
+	return ids
+}
+
+// TestWALAppendCostsOneWriteOneFsync: under SyncAlways, an Append that
+// spans every tail shard costs exactly two disk operations — one log
+// write and one fsync — however many shards it touches.
+func TestWALAppendCostsOneWriteOneFsync(t *testing.T) {
+	disk := fault.NewDisk(fault.DiskConfig{})
+	e := New(t.TempDir(), WithWAL(wal.SyncAlways), WithWALFS(disk))
+	ids := walShardIDs(t)
+	// The first Append opens the log; measure the second.
+	if err := e.Append(hourBatch(ids, 0)); err != nil {
+		t.Fatal(err)
+	}
+	before := disk.Ops()
+	if err := e.Append(hourBatch(ids, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := disk.Ops() - before; got != 2 {
+		t.Errorf("Append over %d shards cost %d disk ops, want 2 (one write, one fsync)", liveShards, got)
+	}
+	e.Crash()
+}
+
+// renameDisk records the renames made through a fault disk.
+type renameDisk struct {
+	*fault.Disk
+	renamed []string
+}
+
+func (d *renameDisk) Rename(oldPath, newPath string) error {
+	d.renamed = append(d.renamed, newPath)
+	return d.Disk.Rename(oldPath, newPath)
+}
+
+// TestWALCheckpointRewritesOneLog: a Checkpoint replaces the log with
+// exactly one rename, whatever the number of tail shards holding
+// remainders.
+func TestWALCheckpointRewritesOneLog(t *testing.T) {
+	disk := &renameDisk{Disk: fault.NewDisk(fault.DiskConfig{})}
+	e := New(t.TempDir(), WithWAL(wal.SyncAlways), WithWALFS(disk))
+	ids := walShardIDs(t)
+	for h := 0; h < 30; h++ {
+		if err := e.Append(hourBatch(ids, h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One household runs ahead, so the checkpoint leaves a remainder.
+	if err := e.Append(hourBatch(ids[:1], 30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if len(disk.renamed) != 1 {
+		t.Fatalf("Checkpoint renamed %d log files (%v), want 1", len(disk.renamed), disk.renamed)
+	}
+	e.Crash()
 }

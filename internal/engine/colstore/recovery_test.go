@@ -54,7 +54,7 @@ func TestRecoverySweep(t *testing.T) {
 				},
 				Run:     exec.RunSnapshot,
 				Durable: tc.durable,
-				Hours:   40,
+				Hours:   100,
 			}
 			cursortest.RunRecovery(t, h, ids)
 		})

@@ -7,10 +7,11 @@ import (
 	"path/filepath"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/wal"
 )
 
 // Crash-safe ingestion for the row store. The engine pairs a no-steal
-// buffer pool with a single-shard write-ahead log (internal/wal): the
+// buffer pool with a write-ahead log (internal/wal): the
 // table file on disk only ever holds the last checkpoint, every acked
 // Append is framed into the log first, and recovery is "open the
 // checkpointed file, replay the log through the idempotent append
@@ -23,23 +24,6 @@ import (
 
 // walDir is where the engine's write-ahead log lives.
 func (e *Engine) walDir() string { return filepath.Join(e.dir, "wal") }
-
-// syncDir fsyncs a directory so a rename into it survives a power
-// failure — the second half of the temp-file-then-rename protocol.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("rowstore: sync dir: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		_ = d.Close()
-		return fmt.Errorf("rowstore: sync dir: %w", err)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("rowstore: sync dir: %w", err)
-	}
-	return nil
-}
 
 // Checkpoint folds every page dirtied since the last checkpoint into
 // the table file with an atomic rewrite and truncates the write-ahead
@@ -110,8 +94,8 @@ func (e *Engine) checkpointLocked() error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("rowstore: checkpoint rename: %w", err)
 	}
-	if err := syncDir(e.dir); err != nil {
-		return err
+	if err := wal.SyncDir(e.dir); err != nil {
+		return fmt.Errorf("rowstore: checkpoint: sync dir: %w", err)
 	}
 	// Swap the file handle under the pool; cached frames keep their
 	// page IDs (the rewrite preserved every offset) and are now clean.
@@ -133,7 +117,7 @@ func (e *Engine) checkpointLocked() error {
 	}
 	// The checkpoint covers everything the log held.
 	if e.wlog != nil {
-		if err := e.wlog.Rewrite(0, nil); err != nil {
+		if err := e.wlog.Rewrite(nil); err != nil {
 			return fmt.Errorf("rowstore: %w", err)
 		}
 	}
@@ -147,41 +131,12 @@ func (e *Engine) checkpointLocked() error {
 // Errors are recorded for CheckpointErr; ingestion keeps running until
 // the next trigger retries.
 func (e *Engine) StartCheckpointer(ctx context.Context) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-e.ckptC:
-				if err := e.Checkpoint(); err != nil {
-					e.ckptErrMu.Lock()
-					e.ckptErr = err
-					e.ckptErrMu.Unlock()
-				}
-			}
-		}
-	}()
-	return done
+	return e.ckpt.Start(ctx, e.Checkpoint)
 }
 
 // CheckpointErr returns the most recent background-checkpoint failure,
 // nil if none.
-func (e *Engine) CheckpointErr() error {
-	e.ckptErrMu.Lock()
-	defer e.ckptErrMu.Unlock()
-	return e.ckptErr
-}
-
-// triggerCheckpoint signals the checkpointer without blocking; a
-// pending signal already covers the crossing.
-func (e *Engine) triggerCheckpoint() {
-	select {
-	case e.ckptC <- struct{}{}:
-	default:
-	}
-}
+func (e *Engine) CheckpointErr() error { return e.ckpt.Err() }
 
 // Crash simulates a process death for recovery tests: every file
 // handle drops with no flush, sync or checkpoint. The engine object is

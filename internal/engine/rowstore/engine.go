@@ -25,24 +25,19 @@ type Engine struct {
 	layout    Layout
 	poolPages int
 
-	// Durability (see durable.go). walOn arms a single-shard
-	// write-ahead log under walPolicy/walFS — one shard because this
-	// engine's writers already serialize on readMu — and switches the
-	// buffer pool to no-steal so the table file changes only at
-	// checkpoints. tailBudget (in live readings) arms the
-	// background-checkpoint trigger on ckptC.
+	// Durability (see durable.go). walOn arms the write-ahead log
+	// under walPolicy/walFS and switches the buffer pool to no-steal so
+	// the table file changes only at checkpoints. tailBudget (in live
+	// readings) arms the background checkpointer.
 	walOn      bool
 	walPolicy  wal.SyncPolicy
 	walFS      wal.FS
 	wlog       *wal.Log
 	tailBudget int64
-	ckptC      chan struct{}
+	ckpt       *wal.Checkpointer
 	// ckptAppended is ls.appended at the last checkpoint; the trigger
 	// fires on the difference. Guarded by readMu.
 	ckptAppended int64
-
-	ckptErrMu sync.Mutex
-	ckptErr   error
 
 	pf    *pagedFile
 	bp    *bufferPool
@@ -111,7 +106,7 @@ func New(dir string, opts ...Option) *Engine {
 		dir:       dir,
 		layout:    LayoutRows,
 		poolPages: DefaultPoolPages,
-		ckptC:     make(chan struct{}, 1),
+		ckpt:      wal.NewCheckpointer(),
 	}
 	for _, o := range opts {
 		o(e)
@@ -214,7 +209,7 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 			_ = pf.close()
 			return nil, err
 		}
-		if err := wal.Clear(e.walDir(), 1, e.walFS); err != nil {
+		if err := wal.Clear(e.walDir(), e.walFS); err != nil {
 			_ = pf.close()
 			return nil, fmt.Errorf("rowstore: %w", err)
 		}

@@ -32,8 +32,8 @@ import (
 // reopened engine rebuilds its live lengths from the index (ensureLive
 // scans lazily — the cold-start path pays nothing until the first
 // Append or Snapshot). That baseline loses whatever a crash catches in
-// the pool; WithWAL closes the hole: the batch is framed into a
-// single-shard write-ahead log before Append acks — the whole batch,
+// the pool; WithWAL closes the hole: the batch is framed into the
+// write-ahead log before Append acks — the whole batch,
 // duplicates included, because a batch applied in memory whose log
 // write failed must re-log entirely on retry or the retry's ack would
 // promise durability the log cannot deliver — the pool switches to
@@ -92,7 +92,6 @@ func (e *Engine) ensureLive() (*liveState, error) {
 		// overlaps the base (clean shutdown mid-ingest) is harmless.
 		lg, err := wal.Open(wal.Options{
 			Dir:    e.walDir(),
-			Shards: 1,
 			Policy: e.walPolicy,
 			FS:     e.walFS,
 		})
@@ -100,7 +99,7 @@ func (e *Engine) ensureLive() (*liveState, error) {
 			return nil, fmt.Errorf("rowstore: %w", err)
 		}
 		replayed := false
-		if err := lg.Replay(func(shard int, batch []core.Reading) error {
+		if err := lg.Replay(func(batch []core.Reading) error {
 			replayed = true
 			return e.applyBatch(ls, batch)
 		}); err != nil {
@@ -180,16 +179,16 @@ func (e *Engine) Append(batch []core.Reading) error {
 		// Log the batch verbatim before acking. A failed write or sync
 		// surfaces here and the ack never happens; the producer's retry
 		// re-applies (duplicates skip) and re-logs the whole batch.
-		seq, err := e.wlog.Append(0, batch)
+		seq, err := e.wlog.Append(batch)
 		if err != nil {
 			return fmt.Errorf("rowstore: %w", err)
 		}
-		if err := e.wlog.Commit(0, seq); err != nil {
+		if err := e.wlog.Commit(seq); err != nil {
 			return fmt.Errorf("rowstore: %w", err)
 		}
 	}
 	if e.tailBudget > 0 && ls.appended-e.ckptAppended >= e.tailBudget {
-		e.triggerCheckpoint()
+		e.ckpt.Trigger()
 	}
 	ls.epoch++
 	tb := e.table

@@ -167,7 +167,7 @@ func TestWALCleanCloseThenCrashlessReopen(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(filepath.Join(dir, "wal", "wal-000.log"))
+	fi, err := os.Stat(filepath.Join(dir, "wal", wal.FileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestWALCleanCloseThenCrashlessReopen(t *testing.T) {
 	sameRows(t, drainSnap(t, cur2), want)
 }
 
-// TestWALTornShardTailRecovers: bytes chopped off the shard log — the
+// TestWALTornShardTailRecovers: bytes chopped off the log — the
 // torn-write shape a power failure leaves — must never surface a
 // decode error; the reopened engine holds the base plus a bit-exact
 // prefix of the appended tail.
@@ -201,7 +201,7 @@ func TestWALTornShardTailRecovers(t *testing.T) {
 		}
 	}
 	e.Crash()
-	logPath := filepath.Join(dir, "wal", "wal-000.log")
+	logPath := filepath.Join(dir, "wal", wal.FileName)
 	fi, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -338,6 +338,53 @@ func TestWALCheckpointAppendSnapshotChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			cursortest.RunCheckpointChaos(t, e, e.Checkpoint, ids, base, 48)
+		})
+	}
+}
+
+// TestWALRejectedBatchRecovers: a batch rejected part-way through on a
+// gap must not stop recovery of the batches acked after it.
+func TestWALRejectedBatchRecovers(t *testing.T) {
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			e, dir, ids, baseN := loadWAL(t, layout)
+			for h := baseN; h < baseN+8; h++ {
+				hs := ids[:2]
+				if h >= baseN+5 {
+					hs = ids[1:2] // ids[0] stops at baseN+4
+				}
+				if err := e.Append(hourBatch(hs, h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			at := func(h int) core.Reading { return hourBatch(ids[:1], baseN+h)[0] }
+			if err := e.Append([]core.Reading{at(5), at(7)}); err == nil {
+				t.Fatal("batch with a gap acked")
+			}
+			for h := 5; h <= 6; h++ {
+				if err := e.Append([]core.Reading{at(h)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cur, _, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drainSnap(t, cur)
+			cur.Close()
+			e.Crash()
+
+			re := New(dir, WithWAL(wal.SyncBatch))
+			defer re.Close()
+			if err := re.Open(); err != nil {
+				t.Fatal(err)
+			}
+			cur2, _, err := re.Snapshot()
+			if err != nil {
+				t.Fatalf("recovery after a rejected batch: %v", err)
+			}
+			defer cur2.Close()
+			sameRows(t, drainSnap(t, cur2), want)
 		})
 	}
 }

@@ -237,7 +237,7 @@ func (d *Disk) SyncDir(dir string) error {
 }
 
 // diskHandle is one open file. All methods take the disk lock, so
-// concurrent shard writers interleave like they would on a kernel.
+// concurrent writers interleave like they would on a kernel.
 type diskHandle struct {
 	d *Disk
 	f *diskFile

@@ -150,17 +150,16 @@ func TestDiskWALSweep(t *testing.T) {
 		}}
 	}
 	run := func(d *Disk) (acked int) {
-		l, err := wal.Open(wal.Options{Dir: "wal", Shards: 2, Policy: wal.SyncBatch, FS: d})
+		l, err := wal.Open(wal.Options{Dir: "wal", Policy: wal.SyncBatch, FS: d})
 		if err != nil {
 			return 0
 		}
 		for _, b := range script {
-			shard := core.ShardFor(b[0].ID, 2)
-			seq, err := l.Append(shard, b)
+			seq, err := l.Append(b)
 			if err != nil {
 				return acked
 			}
-			if err := l.Commit(shard, seq); err != nil {
+			if err := l.Commit(seq); err != nil {
 				return acked
 			}
 			acked++
@@ -184,12 +183,12 @@ func TestDiskWALSweep(t *testing.T) {
 		acked := run(d)
 		d.Reboot()
 		torn += d.TornFiles()
-		r, err := wal.Open(wal.Options{Dir: "wal", Shards: 2, FS: d})
+		r, err := wal.Open(wal.Options{Dir: "wal", FS: d})
 		if err != nil {
 			t.Fatalf("op %d: reopen: %v", op, err)
 		}
 		recovered := 0
-		if err := r.Replay(func(shard int, batch []core.Reading) error {
+		if err := r.Replay(func(batch []core.Reading) error {
 			recovered++
 			return nil
 		}); err != nil {
@@ -215,15 +214,15 @@ func TestDiskWALSweep(t *testing.T) {
 // without crashing the disk.
 func TestDiskFailSync(t *testing.T) {
 	d := NewDisk(DiskConfig{Seed: 4, FailSyncRate: 1})
-	l, err := wal.Open(wal.Options{Dir: "wal", Shards: 1, Policy: wal.SyncBatch, FS: d})
+	l, err := wal.Open(wal.Options{Dir: "wal", Policy: wal.SyncBatch, FS: d})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l.Append(0, []core.Reading{{ID: 1, Hour: 0, Consumption: 1}})
+	seq, err := l.Append([]core.Reading{{ID: 1, Hour: 0, Consumption: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(0, seq); err == nil {
+	if err := l.Commit(seq); err == nil {
 		t.Fatal("Commit succeeded under FailSyncRate=1")
 	}
 	if d.Crashed() {

@@ -1,12 +1,14 @@
 // Package wal implements the write-ahead log that makes live
-// ingestion crash-safe. Engines append each committed batch to a
-// per-shard log file before acking Append; on reopen the log is
-// replayed through the engine's idempotent append path, so the
+// ingestion crash-safe. An engine appends each committed batch to its
+// one log file as one record before acking Append; on reopen the log
+// is replayed through the engine's idempotent append path, so the
 // recovered state is bit-exact with a no-crash run over the acked
 // prefix. Checkpoints rewrite the log down to the readings that are
 // not yet folded into the base segment.
 //
-// File format. Each shard owns one file, wal-NNN.log:
+// File format. Each engine directory holds one file, wal.log (logs
+// written by earlier builds, one wal-NNN.log per writer shard, are not
+// read):
 //
 //	file    = magic record*
 //	magic   = "SMWAL1\n\x00"                          (8 bytes)
@@ -23,7 +25,7 @@
 // Durability policies. SyncAlways fsyncs inside Append (every batch is
 // durable before it is acked). SyncBatch acks after the write and makes
 // Commit a group commit: one leader fsyncs on behalf of every batch
-// written before it grabbed the file, so concurrent shard writers share
+// written before it grabbed the file, so concurrent writers share
 // fsyncs. SyncOff never fsyncs — the log bounds loss to the OS page
 // cache but forfeits power-failure durability.
 //
@@ -32,6 +34,7 @@
 package wal
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -164,7 +167,11 @@ func (osFS) Create(path string) (File, error) {
 func (osFS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
 func (osFS) Remove(path string) error             { return os.Remove(path) }
 
-func (osFS) SyncDir(dir string) error {
+func (osFS) SyncDir(dir string) error { return SyncDir(dir) }
+
+// SyncDir fsyncs a directory so a rename into it survives a power
+// failure — the second half of the temp-file-then-rename protocol.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -175,6 +182,9 @@ func (osFS) SyncDir(dir string) error {
 	}
 	return d.Close()
 }
+
+// FileName is the log file's name under Options.Dir.
+const FileName = "wal.log"
 
 const (
 	magic       = "SMWAL1\n\x00"
@@ -189,10 +199,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures Open.
 type Options struct {
-	// Dir holds one wal-NNN.log per shard. Created if absent.
+	// Dir holds the log file. Created if absent.
 	Dir string
-	// Shards is the number of log files (one per engine writer shard).
-	Shards int
 	// Policy is the fsync policy. Zero value is SyncBatch.
 	Policy SyncPolicy
 	// FS is the filesystem; nil means OSFS.
@@ -204,33 +212,21 @@ type ReplayStats struct {
 	// Batches and Readings count the intact records recovered.
 	Batches  int
 	Readings int
-	// TruncatedBytes is how much torn or corrupt tail was cut off
-	// across all shard files.
+	// TruncatedBytes is how much torn or corrupt tail was cut off.
 	TruncatedBytes int64
 }
 
-// Log is a per-shard write-ahead log. Append/Commit on distinct shards
-// never contend; on one shard they serialize on the shard mutex.
+// Log is an engine's write-ahead log: one file, written by every
+// writer in turn under one mutex.
 type Log struct {
 	fs     FS
 	dir    string
+	path   string
 	policy SyncPolicy
-	shards []*shardLog
 
-	replayMu sync.Mutex
-	pending  [][]replayBatch // decoded by Open, freed by Replay
-	stats    ReplayStats
-}
-
-type replayBatch struct {
-	batch []core.Reading
-}
-
-type shardLog struct {
 	mu   sync.Mutex
 	cond sync.Cond
 	f    File
-	path string
 	size int64
 
 	// Group commit: writeSeq numbers appended batches, syncSeq is the
@@ -246,15 +242,17 @@ type shardLog struct {
 	failEnd  uint64
 
 	buf []byte // encode scratch, reused across Appends
+
+	replayMu sync.Mutex
+	pending  [][]core.Reading // decoded by Open, freed by Replay
+	stats    ReplayStats
 }
 
-// Open opens (creating if needed) the per-shard log files under
-// opts.Dir, verifies each tail record by CRC, truncates any torn or
-// corrupt tail, and retains the intact records for Replay.
+// Open opens (creating if needed) the log file under opts.Dir, verifies
+// each record by CRC, truncates the first torn or corrupt record
+// together with everything after it, and retains the intact records for
+// Replay.
 func Open(opts Options) (*Log, error) {
-	if opts.Shards <= 0 {
-		return nil, fmt.Errorf("wal: shards must be positive, have %d", opts.Shards)
-	}
 	fs := opts.FS
 	if fs == nil {
 		fs = OSFS
@@ -263,70 +261,56 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{
-		fs:      fs,
-		dir:     opts.Dir,
-		policy:  opts.Policy,
-		shards:  make([]*shardLog, opts.Shards),
-		pending: make([][]replayBatch, opts.Shards),
+		fs:     fs,
+		dir:    opts.Dir,
+		path:   filepath.Join(opts.Dir, FileName),
+		policy: opts.Policy,
 	}
-	for i := range l.shards {
-		sh := &shardLog{path: filepath.Join(opts.Dir, shardFileName(i))}
-		sh.cond.L = &sh.mu
-		if err := l.openShard(sh, i); err != nil {
-			l.closeShards(i)
-			return nil, err
-		}
-		l.shards[i] = sh
+	l.cond.L = &l.mu
+	f, err := fs.OpenAppend(l.path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open: %w", err)
 	}
+	if err := l.load(f); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	l.f = f
 	return l, nil
 }
 
-func shardFileName(i int) string { return fmt.Sprintf("wal-%03d.log", i) }
-
-// openShard opens one shard file, scans its records and truncates the
-// first torn or corrupt one together with everything after it.
-func (l *Log) openShard(sh *shardLog, shard int) error {
-	f, err := l.fs.OpenAppend(sh.path)
-	if err != nil {
-		return fmt.Errorf("wal: open shard %d: %w", shard, err)
-	}
+// load scans the freshly opened file, cuts off any torn or corrupt
+// tail and sets the write position.
+func (l *Log) load(f File) error {
 	size, err := f.Size()
 	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: size shard %d: %w", shard, err)
+		return fmt.Errorf("wal: size: %w", err)
 	}
 	keep, batches, err := scan(f, size)
 	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: scan shard %d: %w", shard, err)
+		return fmt.Errorf("wal: scan: %w", err)
 	}
-	if keep < size {
-		l.stats.TruncatedBytes += size - keep
-	}
+	l.stats.TruncatedBytes = size - keep
 	if keep == 0 {
 		// Missing or torn magic: reset the file to a fresh log.
 		if err := f.Truncate(0); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: reset shard %d: %w", shard, err)
+			return fmt.Errorf("wal: reset: %w", err)
 		}
 		if _, err := f.Write([]byte(magic)); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: magic shard %d: %w", shard, err)
+			return fmt.Errorf("wal: magic: %w", err)
 		}
 		keep = int64(len(magic))
 	} else if keep < size {
 		if err := f.Truncate(keep); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: truncate shard %d: %w", shard, err)
+			return fmt.Errorf("wal: truncate: %w", err)
 		}
 	}
 	for _, b := range batches {
 		l.stats.Batches++
 		l.stats.Readings += len(b)
-		l.pending[shard] = append(l.pending[shard], replayBatch{batch: b})
 	}
-	sh.f = f
-	sh.size = keep
+	l.pending = batches
+	l.size = keep
 	return nil
 }
 
@@ -357,7 +341,9 @@ func scan(f io.ReaderAt, size int64) (keep int64, batches [][]core.Reading, err 
 		}
 		wantCRC := binary.LittleEndian.Uint32(rec[0:4])
 		n := int64(binary.LittleEndian.Uint32(rec[4:8]))
-		if n > maxPayload || size-off-recHdrSize < n {
+		// A payload holds at least its count field; a shorter one is
+		// corrupt, and reading it empty at end of file may return EOF.
+		if n < 4 || n > maxPayload || size-off-recHdrSize < n {
 			return off, batches, nil
 		}
 		if int64(cap(payload)) < n {
@@ -400,20 +386,17 @@ func decodePayload(p []byte) ([]core.Reading, bool) {
 	return batch, true
 }
 
-// Replay hands every intact batch recovered by Open to fn in
-// per-shard write order, then frees them. Batches on distinct shards
-// hold disjoint households, so cross-shard order does not matter to an
-// idempotent appender. Replay is one-shot: a second call sees nothing.
-func (l *Log) Replay(fn func(shard int, batch []core.Reading) error) error {
+// Replay hands every intact batch recovered by Open to fn in write
+// order, then frees them. Replay is one-shot: a second call sees
+// nothing.
+func (l *Log) Replay(fn func(batch []core.Reading) error) error {
 	l.replayMu.Lock()
 	pending := l.pending
 	l.pending = nil
 	l.replayMu.Unlock()
-	for shard, batches := range pending {
-		for _, rb := range batches {
-			if err := fn(shard, rb.batch); err != nil {
-				return err
-			}
+	for _, b := range pending {
+		if err := fn(b); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -426,29 +409,28 @@ func (l *Log) Stats() ReplayStats {
 	return l.stats
 }
 
-// Append writes one batch to the shard's log. Under SyncAlways it is
-// durable when Append returns; under SyncBatch the caller must Commit
-// the returned sequence number before acking the batch.
-func (l *Log) Append(shard int, batch []core.Reading) (uint64, error) {
-	sh := l.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// Append writes one batch to the log as one record. Under SyncAlways it
+// is durable when Append returns; under SyncBatch the caller must
+// Commit the returned sequence number before acking the batch.
+func (l *Log) Append(batch []core.Reading) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if len(batch) > 0 {
-		sh.buf = encodeRecord(sh.buf[:0], batch)
-		n, err := sh.f.Write(sh.buf)
-		sh.size += int64(n)
+		l.buf = encodeRecord(l.buf[:0], batch)
+		n, err := l.f.Write(l.buf)
+		l.size += int64(n)
 		if err != nil {
-			return 0, fmt.Errorf("wal: append shard %d: %w", shard, err)
+			return 0, fmt.Errorf("wal: append: %w", err)
 		}
-		sh.writeSeq++
+		l.writeSeq++
 	}
 	if l.policy == SyncAlways {
-		if err := sh.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: fsync shard %d: %w", shard, err)
+		if err := l.f.Sync(); err != nil {
+			return 0, fmt.Errorf("wal: fsync: %w", err)
 		}
-		sh.syncSeq = sh.writeSeq
+		l.syncSeq = l.writeSeq
 	}
-	return sh.writeSeq, nil
+	return l.writeSeq, nil
 }
 
 func encodeRecord(dst []byte, batch []core.Reading) []byte {
@@ -476,176 +458,207 @@ func encodeRecord(dst []byte, batch []core.Reading) []byte {
 // the policy. SyncAlways already synced in Append and SyncOff never
 // syncs, so both return immediately; SyncBatch blocks until a group
 // fsync covers seq.
-func (l *Log) Commit(shard int, seq uint64) error {
+func (l *Log) Commit(seq uint64) error {
 	if l.policy != SyncBatch {
 		return nil
 	}
-	sh := l.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for {
-		if sh.syncSeq >= seq {
+		if l.syncSeq >= seq {
 			return nil
 		}
-		if sh.failErr != nil && seq <= sh.failEnd {
-			return sh.failErr
+		if l.failErr != nil && seq <= l.failEnd {
+			return l.failErr
 		}
-		if !sh.syncing {
-			sh.syncing = true
-			target := sh.writeSeq
-			sh.mu.Unlock()
-			err := sh.f.Sync()
-			sh.mu.Lock()
-			sh.syncing = false
+		if !l.syncing {
+			l.syncing = true
+			target := l.writeSeq
+			l.mu.Unlock()
+			err := l.f.Sync()
+			l.mu.Lock()
+			l.syncing = false
 			if err != nil {
-				sh.failErr = fmt.Errorf("wal: fsync shard %d: %w", shard, err)
-				sh.failEnd = target
+				l.failErr = fmt.Errorf("wal: fsync: %w", err)
+				l.failEnd = target
 			} else {
-				sh.syncSeq = target
-				sh.failErr = nil
+				l.syncSeq = target
+				l.failErr = nil
 			}
-			sh.cond.Broadcast()
+			l.cond.Broadcast()
 			continue
 		}
-		sh.cond.Wait()
+		l.cond.Wait()
 	}
 }
 
-// Rewrite atomically replaces one shard's log with the given batches
-// (typically the per-household tail remainders after a checkpoint):
-// temp file, fsync, rename over, directory fsync. The caller must
-// guarantee no concurrent Append/Commit on the shard.
-func (l *Log) Rewrite(shard int, batches [][]core.Reading) error {
-	sh := l.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tmp := sh.path + ".tmp"
+// Rewrite atomically replaces the log with the given batches (typically
+// the per-household tail remainders after a checkpoint): temp file,
+// fsync, rename over, directory fsync. The caller must guarantee no
+// concurrent Append/Commit.
+func (l *Log) Rewrite(batches [][]core.Reading) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tmp := l.path + ".tmp"
 	f, err := l.fs.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("wal: rewrite shard %d: %w", shard, err)
+		return fmt.Errorf("wal: rewrite: %w", err)
 	}
 	if _, err := f.Write([]byte(magic)); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("wal: rewrite shard %d: %w", shard, err)
+		return fmt.Errorf("wal: rewrite: %w", err)
 	}
 	size := int64(len(magic))
 	for _, b := range batches {
 		if len(b) == 0 {
 			continue
 		}
-		sh.buf = encodeRecord(sh.buf[:0], b)
-		n, err := f.Write(sh.buf)
+		l.buf = encodeRecord(l.buf[:0], b)
+		n, err := f.Write(l.buf)
 		size += int64(n)
 		if err != nil {
 			_ = f.Close()
-			return fmt.Errorf("wal: rewrite shard %d: %w", shard, err)
+			return fmt.Errorf("wal: rewrite: %w", err)
 		}
 	}
 	if l.policy != SyncOff {
 		if err := f.Sync(); err != nil {
 			_ = f.Close()
-			return fmt.Errorf("wal: rewrite fsync shard %d: %w", shard, err)
+			return fmt.Errorf("wal: rewrite fsync: %w", err)
 		}
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: rewrite close shard %d: %w", shard, err)
+		return fmt.Errorf("wal: rewrite close: %w", err)
 	}
-	if err := l.fs.Rename(tmp, sh.path); err != nil {
-		return fmt.Errorf("wal: rewrite rename shard %d: %w", shard, err)
+	if err := l.fs.Rename(tmp, l.path); err != nil {
+		return fmt.Errorf("wal: rewrite rename: %w", err)
 	}
 	if l.policy != SyncOff {
 		if err := l.fs.SyncDir(l.dir); err != nil {
-			return fmt.Errorf("wal: rewrite dir fsync shard %d: %w", shard, err)
+			return fmt.Errorf("wal: rewrite dir fsync: %w", err)
 		}
 	}
-	old := sh.f
-	nf, err := l.fs.OpenAppend(sh.path)
+	old := l.f
+	nf, err := l.fs.OpenAppend(l.path)
 	if err != nil {
-		return fmt.Errorf("wal: rewrite reopen shard %d: %w", shard, err)
+		return fmt.Errorf("wal: rewrite reopen: %w", err)
 	}
-	sh.f = nf
-	sh.size = size
+	l.f = nf
+	l.size = size
 	// Everything in the rewritten log is durable; future Commits only
 	// wait for batches appended after this point.
-	sh.syncSeq = sh.writeSeq
-	sh.failErr = nil
+	l.syncSeq = l.writeSeq
+	l.failErr = nil
 	if err := old.Close(); err != nil {
-		return fmt.Errorf("wal: rewrite close old shard %d: %w", shard, err)
+		return fmt.Errorf("wal: rewrite close old: %w", err)
 	}
 	return nil
 }
 
-// SizeBytes is the total size of all shard files — the engine's
-// tail-size budget trigger reads it to decide when to checkpoint.
+// SizeBytes is the size of the log file.
 func (l *Log) SizeBytes() int64 {
-	var total int64
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		total += sh.size
-		sh.mu.Unlock()
-	}
-	return total
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size
 }
 
-// Close syncs (unless SyncOff) and closes every shard file.
+// Close syncs (unless SyncOff) and closes the log file.
 func (l *Log) Close() error {
-	var first error
-	for i, sh := range l.shards {
-		sh.mu.Lock()
-		if sh.f != nil {
-			if l.policy != SyncOff {
-				if err := sh.f.Sync(); err != nil && first == nil {
-					first = fmt.Errorf("wal: close fsync shard %d: %w", i, err)
-				}
-			}
-			if err := sh.f.Close(); err != nil && first == nil {
-				first = fmt.Errorf("wal: close shard %d: %w", i, err)
-			}
-			sh.f = nil
-		}
-		sh.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return nil
 	}
+	var first error
+	if l.policy != SyncOff {
+		if err := l.f.Sync(); err != nil {
+			first = fmt.Errorf("wal: close fsync: %w", err)
+		}
+	}
+	if err := l.f.Close(); err != nil && first == nil {
+		first = fmt.Errorf("wal: close: %w", err)
+	}
+	l.f = nil
 	return first
 }
 
-// Drop closes every shard file WITHOUT a final sync — the simulated
-// process death: nothing beyond the last Commit may become durable.
-// Only crash tests and the recovery benchmark call it.
+// Drop closes the log file WITHOUT a final sync — the simulated process
+// death: nothing beyond the last Commit may become durable. Only crash
+// tests and the recovery benchmark call it.
 func (l *Log) Drop() {
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		if sh.f != nil {
-			_ = sh.f.Close()
-			sh.f = nil
-		}
-		sh.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f != nil {
+		_ = l.f.Close()
+		l.f = nil
 	}
 }
 
-func (l *Log) closeShards(n int) {
-	for i := 0; i < n; i++ {
-		sh := l.shards[i]
-		if sh != nil && sh.f != nil {
-			_ = sh.f.Close()
-		}
-	}
-}
-
-// Clear removes the per-shard log files under dir — the reset an
-// engine performs when a fresh bulk Load replaces the stored state and
-// any surviving log would replay against the wrong base. Missing files
-// are fine; the log must not be open.
-func Clear(dir string, shards int, fs FS) error {
+// Clear removes the log file under dir — the reset an engine performs
+// when a fresh bulk Load replaces the stored state and any surviving
+// log would replay against the wrong base. A missing file is fine; the
+// log must not be open.
+func Clear(dir string, fs FS) error {
 	if fs == nil {
 		fs = OSFS
 	}
-	for i := 0; i < shards; i++ {
-		path := filepath.Join(dir, shardFileName(i))
-		if err := fs.Remove(path); err != nil && !errors.Is(err, iofs.ErrNotExist) {
-			return fmt.Errorf("wal: clear: %w", err)
-		}
+	if err := fs.Remove(filepath.Join(dir, FileName)); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return fmt.Errorf("wal: clear: %w", err)
 	}
 	return nil
+}
+
+// Checkpointer runs an engine's background checkpoints: the engine
+// calls Trigger when its live tail crosses its budget, and the
+// goroutine Start launches runs the checkpoint. Errors are recorded for
+// Err; ingestion keeps running until the next trigger retries.
+type Checkpointer struct {
+	c     chan struct{}
+	errMu sync.Mutex
+	err   error
+}
+
+// NewCheckpointer returns an idle checkpointer.
+func NewCheckpointer() *Checkpointer {
+	return &Checkpointer{c: make(chan struct{}, 1)}
+}
+
+// Start runs checkpoint on every Trigger until ctx is cancelled. The
+// returned channel closes when the goroutine has exited.
+func (c *Checkpointer) Start(ctx context.Context, checkpoint func() error) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-c.c:
+				if err := checkpoint(); err != nil {
+					c.errMu.Lock()
+					c.err = err
+					c.errMu.Unlock()
+				}
+			}
+		}
+	}()
+	return done
+}
+
+// Err returns the most recent checkpoint failure, nil if none.
+func (c *Checkpointer) Err() error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	return c.err
+}
+
+// Trigger signals the checkpointer without blocking; a pending signal
+// already covers the crossing.
+func (c *Checkpointer) Trigger() {
+	select {
+	case c.c <- struct{}{}:
+	default:
+	}
 }
 
 func toBits(f float64) uint64   { return math.Float64bits(f) }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,12 +44,12 @@ func sameReadings(t *testing.T, got, want []core.Reading) {
 	}
 }
 
-// collect replays a log into a per-shard slice of batches.
-func collect(t *testing.T, l *Log, shards int) [][][]core.Reading {
+// collect replays a log into a slice of batches.
+func collect(t *testing.T, l *Log) [][]core.Reading {
 	t.Helper()
-	out := make([][][]core.Reading, shards)
-	if err := l.Replay(func(shard int, batch []core.Reading) error {
-		out[shard] = append(out[shard], batch)
+	var out [][]core.Reading
+	if err := l.Replay(func(batch []core.Reading) error {
+		out = append(out, batch)
 		return nil
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -58,31 +59,30 @@ func collect(t *testing.T, l *Log, shards int) [][][]core.Reading {
 
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Shards: 3, Policy: SyncBatch})
+	l, err := Open(Options{Dir: dir, Policy: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [3][][]core.Reading
+	var want [][]core.Reading
 	for i := 0; i < 6; i++ {
-		shard := i % 3
-		b := mkBatch(timeseries.ID(shard+1), (i/3)*4, 4)
-		seq, err := l.Append(shard, b)
+		b := mkBatch(timeseries.ID(i%3+1), (i/3)*4, 4)
+		seq, err := l.Append(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Commit(shard, seq); err != nil {
+		if err := l.Commit(seq); err != nil {
 			t.Fatal(err)
 		}
-		want[shard] = append(want[shard], b)
+		want = append(want, b)
 	}
-	if l.SizeBytes() <= 3*int64(len(magic)) {
+	if l.SizeBytes() <= int64(len(magic)) {
 		t.Fatalf("SizeBytes = %d, want > magic only", l.SizeBytes())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := Open(Options{Dir: dir, Shards: 3})
+	r, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,21 +95,16 @@ func TestRoundTrip(t *testing.T) {
 	if st.Batches != 6 || st.Readings != 24 || st.TruncatedBytes != 0 {
 		t.Fatalf("stats = %+v, want 6 batches / 24 readings / 0 truncated", st)
 	}
-	got := collect(t, r, 3)
-	for shard := range want {
-		if len(got[shard]) != len(want[shard]) {
-			t.Fatalf("shard %d: got %d batches, want %d", shard, len(got[shard]), len(want[shard]))
-		}
-		for i := range want[shard] {
-			sameReadings(t, got[shard][i], want[shard][i])
-		}
+	got := collect(t, r)
+	if len(got) != len(want) {
+		t.Fatalf("got %d batches, want %d", len(got), len(want))
+	}
+	for i := range want {
+		sameReadings(t, got[i], want[i])
 	}
 	// Replay is one-shot.
-	again := collect(t, r, 3)
-	for shard := range again {
-		if len(again[shard]) != 0 {
-			t.Fatalf("second replay returned %d batches on shard %d", len(again[shard]), shard)
-		}
+	if again := collect(t, r); len(again) != 0 {
+		t.Fatalf("second replay returned %d batches", len(again))
 	}
 }
 
@@ -118,18 +113,18 @@ func TestRoundTrip(t *testing.T) {
 // survives.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Shards: 1})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b0 := mkBatch(1, 0, 5)
 	b1 := mkBatch(1, 5, 5)
 	for _, b := range [][]core.Reading{b0, b1} {
-		seq, err := l.Append(0, b)
+		seq, err := l.Append(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Commit(0, seq); err != nil {
+		if err := l.Commit(seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +132,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, shardFileName(0))
+	path := filepath.Join(dir, FileName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +142,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(Options{Dir: dir, Shards: 1})
+	r, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +153,15 @@ func TestTornTailTruncated(t *testing.T) {
 	if st.TruncatedBytes <= 0 {
 		t.Fatalf("TruncatedBytes = %d, want > 0", st.TruncatedBytes)
 	}
-	got := collect(t, r, 1)
-	sameReadings(t, got[0][0], b0)
+	got := collect(t, r)
+	sameReadings(t, got[0], b0)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The torn tail must be gone from disk: a third open sees a clean
 	// one-record log.
-	r2, err := Open(Options{Dir: dir, Shards: 1})
+	r2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +178,13 @@ func TestTornTailTruncated(t *testing.T) {
 // either.
 func TestCorruptRecordTruncated(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Shards: 1})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sizes []int64
 	for i := 0; i < 3; i++ {
-		if _, err := l.Append(0, mkBatch(1, i*4, 4)); err != nil {
+		if _, err := l.Append(mkBatch(1, i*4, 4)); err != nil {
 			t.Fatal(err)
 		}
 		sizes = append(sizes, l.SizeBytes())
@@ -198,7 +193,7 @@ func TestCorruptRecordTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, shardFileName(0))
+	path := filepath.Join(dir, FileName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +204,7 @@ func TestCorruptRecordTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(Options{Dir: dir, Shards: 1})
+	r, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,17 +225,17 @@ func TestCorruptRecordTruncated(t *testing.T) {
 // must be reset without decoding anything.
 func TestBadMagicResets(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Shards: 1})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(0, mkBatch(1, 0, 4)); err != nil {
+	if _, err := l.Append(mkBatch(1, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, shardFileName(0))
+	path := filepath.Join(dir, FileName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +244,7 @@ func TestBadMagicResets(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(Options{Dir: dir, Shards: 1})
+	r, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +263,7 @@ func TestBadMagicResets(t *testing.T) {
 func TestGroupCommit(t *testing.T) {
 	fs := &countingFS{inner: OSFS}
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Shards: 1, Policy: SyncBatch, FS: fs})
+	l, err := Open(Options{Dir: dir, Policy: SyncBatch, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +275,12 @@ func TestGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				seq, err := l.Append(0, mkBatch(timeseries.ID(w+1), i, 1))
+				seq, err := l.Append(mkBatch(timeseries.ID(w+1), i, 1))
 				if err != nil {
 					errs <- err
 					return
 				}
-				if err := l.Commit(0, seq); err != nil {
+				if err := l.Commit(seq); err != nil {
 					errs <- err
 					return
 				}
@@ -309,7 +304,7 @@ func TestGroupCommit(t *testing.T) {
 	}
 	t.Logf("group commit: %d batches, %d fsyncs", writers*perWriter, syncs)
 
-	r, err := Open(Options{Dir: dir, Shards: 1})
+	r, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,45 +316,45 @@ func TestGroupCommit(t *testing.T) {
 	}
 }
 
-// TestRewrite replaces a shard's log and checks only the new batches
-// replay afterwards.
+// TestRewrite replaces the log and checks only the new batches replay
+// afterwards.
 func TestRewrite(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Shards: 2})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := l.Append(0, mkBatch(1, i*2, 2)); err != nil {
+		if _, err := l.Append(mkBatch(1, i*2, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	remainder := mkBatch(1, 6, 2)
-	if err := l.Rewrite(0, [][]core.Reading{remainder, nil}); err != nil {
+	if err := l.Rewrite([][]core.Reading{remainder, nil}); err != nil {
 		t.Fatal(err)
 	}
-	// The shard keeps accepting appends after a rewrite.
-	seq, err := l.Append(0, mkBatch(1, 8, 1))
+	// The log keeps accepting appends after a rewrite.
+	seq, err := l.Append(mkBatch(1, 8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(0, seq); err != nil {
+	if err := l.Commit(seq); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := Open(Options{Dir: dir, Shards: 2})
+	r, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, r, 2)
-	if len(got[0]) != 2 {
-		t.Fatalf("shard 0: got %d batches after rewrite, want 2", len(got[0]))
+	got := collect(t, r)
+	if len(got) != 2 {
+		t.Fatalf("got %d batches after rewrite, want 2", len(got))
 	}
-	sameReadings(t, got[0][0], remainder)
-	sameReadings(t, got[0][1], mkBatch(1, 8, 1))
+	sameReadings(t, got[0], remainder)
+	sameReadings(t, got[1], mkBatch(1, 8, 1))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,4 +416,43 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("nope"); err == nil {
 		t.Fatal("ParsePolicy accepted garbage")
 	}
+}
+
+// FuzzScan feeds arbitrary file bytes to the log decoder. It must
+// never panic, must keep no more than the file holds, and the records
+// it keeps must be exactly the bytes their batches re-encode to.
+func FuzzScan(f *testing.F) {
+	valid := []byte(magic)
+	for i := 0; i < 3; i++ {
+		valid = append(valid, encodeRecord(nil, mkBatch(timeseries.ID(i+1), i*4, i+1))...)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add([]byte(magic))
+	f.Add([]byte{})
+	corrupt := append([]byte(nil), valid...)
+	corrupt[len(magic)+recHdrSize+2] ^= 0x10
+	f.Add(corrupt)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keep, batches, err := scan(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("scan of in-memory bytes failed: %v", err)
+		}
+		if keep < 0 || keep > int64(len(data)) {
+			t.Fatalf("keep = %d outside [0, %d]", keep, len(data))
+		}
+		if keep == 0 {
+			if len(batches) != 0 {
+				t.Fatalf("no intact magic, yet %d batches decoded", len(batches))
+			}
+			return
+		}
+		again := []byte(magic)
+		for _, b := range batches {
+			again = append(again, encodeRecord(nil, b)...)
+		}
+		if !bytes.Equal(again, data[:keep]) {
+			t.Fatalf("re-encoding %d batches gives %d bytes, not the %d kept", len(batches), len(again), keep)
+		}
+	})
 }
