@@ -133,13 +133,17 @@ func funcKey(fd *ast.FuncDecl) string {
 // reading, same as the stats kernels. internal/incr is hot for the
 // same reason from the other direction: its maintainers run on every
 // ingested reading, so a per-reading allocation there taxes the whole
-// live path.
+// live path. internal/threeline is hot because its T1 percentile pass
+// and T2 breakpoint search run once per consumer over every reading
+// and every bin; they use pooled scratch and must stay
+// allocation-free.
 func hotPackage(path string) bool {
 	path += "/"
 	return strings.Contains(path, "/internal/stats/") ||
 		strings.Contains(path, "/internal/sched/") ||
 		strings.Contains(path, "/internal/colcodec/") ||
-		strings.Contains(path, "/internal/incr/")
+		strings.Contains(path, "/internal/incr/") ||
+		strings.Contains(path, "/internal/threeline/")
 }
 
 // checkHotFunc walks one kernel function, flagging allocation patterns

@@ -84,6 +84,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{hotallocAnalyzer, "hotalloc/internal/engine/fake", true},
 		{hotallocAnalyzer, "hotalloc/internal/colcodec", true},
 		{hotallocAnalyzer, "hotalloc/internal/incr", true},
+		{hotallocAnalyzer, "hotalloc/internal/threeline", true},
 		{hotallocAnalyzer, "hotalloc/internal/engine/colstore", true},
 		{hotallocAnalyzer, "hotalloc/internal/exec", true},
 	}

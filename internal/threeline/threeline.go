@@ -169,13 +169,16 @@ func ComputeTimed(s *timeseries.Series, temp *timeseries.Temperature, cfg Config
 		return nil, tm, fmt.Errorf("%w: consumer %d is empty", ErrInsufficientData, s.ID)
 	}
 
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
 	// Phase T1: per-temperature-bin percentiles.
 	start := time.Now()
-	xs, lows, highs := percentilePoints(s.Readings, temp.Values, cfg)
+	xs, lows, highs := percentilePoints(s.Readings, temp.Values, cfg, sc)
 	tm.T1Quantiles = time.Since(start)
 
 	// Phases T2 + T3 on the extracted point set.
-	res, t2, t3, err := fitPointsPhased(s.ID, xs, lows, highs, cfg)
+	res, t2, t3, err := fitPointsPhased(s.ID, xs, lows, highs, cfg, sc)
 	tm.T2Regression, tm.T3Adjust = t2, t3
 	if err != nil {
 		return nil, tm, err
@@ -190,19 +193,22 @@ func ComputeTimed(s *timeseries.Series, temp *timeseries.Temperature, cfg Config
 // (internal/incr), which tracks the bins itself and only calls here
 // when the point set actually changed.
 func FitPoints(id timeseries.ID, xs, lows, highs []float64, cfg Config) (*Result, error) {
-	res, _, _, err := fitPointsPhased(id, xs, lows, highs, cfg)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	res, _, _, err := fitPointsPhased(id, xs, lows, highs, cfg, sc)
 	return res, err
 }
 
-func fitPointsPhased(id timeseries.ID, xs, lows, highs []float64, cfg Config) (*Result, time.Duration, time.Duration, error) {
+func fitPointsPhased(id timeseries.ID, xs, lows, highs []float64, cfg Config, sc *scratch) (*Result, time.Duration, time.Duration, error) {
 	cfg.fillDefaults()
 	if len(xs) < 2 {
 		return nil, 0, 0, fmt.Errorf("%w: consumer %d has %d populated temperature bins",
 			ErrInsufficientData, id, len(xs))
 	}
 	start := time.Now()
-	high := fitSegmented(xs, highs, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac)
-	low := fitSegmented(xs, lows, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac)
+	sc.sums = grow(sc.sums, 5*(len(xs)+1))
+	high := fitSegmented(xs, highs, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac, sc.sums)
+	low := fitSegmented(xs, lows, cfg.MinSegmentPoints, cfg.MinOuterSpanFrac, sc.sums)
 	t2 := time.Since(start)
 	start = time.Now()
 	high.makeContinuous()
@@ -238,21 +244,6 @@ func ComputeAll(d *timeseries.Dataset) ([]*Result, error) {
 // into for the given bin width.
 func BinIndex(t, binWidth float64) int {
 	return int(math.Floor(t / binWidth))
-}
-
-// percentilePoints bins readings by temperature and returns, for each
-// sufficiently populated bin in ascending temperature order, the bin
-// center and the low/high consumption percentiles.
-func percentilePoints(readings, temps []float64, cfg Config) (xs, lows, highs []float64) {
-	bins := make(map[int][]float64)
-	for i, r := range readings {
-		b := BinIndex(temps[i], cfg.BinWidth)
-		bins[b] = append(bins[b], r)
-	}
-	for _, v := range bins {
-		sort.Float64s(v)
-	}
-	return PointsFromSortedBins(bins, cfg)
 }
 
 // PointsFromSortedBins extracts the phase-T1 percentile point set from
@@ -291,16 +282,20 @@ type segFitter struct {
 	sx, sy, sxx, sxy, syy []float64 // prefix sums, len n+1
 }
 
-func newSegFitter(x, y []float64) *segFitter {
+// newSegFitter builds the prefix sums in buf, allocating only when buf
+// holds fewer than 5*(len(x)+1) values.
+func newSegFitter(x, y, buf []float64) segFitter {
 	n := len(x)
-	f := &segFitter{
+	buf = grow(buf, 5*(n+1))
+	f := segFitter{
 		x: x, y: y,
-		sx:  make([]float64, n+1),
-		sy:  make([]float64, n+1),
-		sxx: make([]float64, n+1),
-		sxy: make([]float64, n+1),
-		syy: make([]float64, n+1),
+		sx:  buf[0 : n+1],
+		sy:  buf[n+1 : 2*(n+1)],
+		sxx: buf[2*(n+1) : 3*(n+1)],
+		sxy: buf[3*(n+1) : 4*(n+1)],
+		syy: buf[4*(n+1) : 5*(n+1)],
 	}
+	f.sx[0], f.sy[0], f.sxx[0], f.sxy[0], f.syy[0] = 0, 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		f.sx[i+1] = f.sx[i] + x[i]
 		f.sy[i+1] = f.sy[i] + y[i]
@@ -344,10 +339,10 @@ func (f *segFitter) fit(lo, hi int) (stats.Line, float64) {
 // fitSegmented finds the two breakpoints minimizing the total SSE of
 // three per-segment OLS fits, requiring minSeg points per segment. When
 // the point set is too small for three segments it falls back to a single
-// line (degenerate model).
-func fitSegmented(xs, ys []float64, minSeg int, minSpanFrac float64) Model {
+// line (degenerate model). sums is newSegFitter's prefix-sum buffer.
+func fitSegmented(xs, ys []float64, minSeg int, minSpanFrac float64, sums []float64) Model {
 	n := len(xs)
-	f := newSegFitter(xs, ys)
+	f := newSegFitter(xs, ys, sums)
 	if n < 3*minSeg {
 		line, sse := f.fit(0, n)
 		return Model{
@@ -357,11 +352,11 @@ func fitSegmented(xs, ys []float64, minSeg int, minSpanFrac float64) Model {
 		}
 	}
 	minSpan := minSpanFrac * (xs[n-1] - xs[0])
-	bestSSE, bestI, bestJ, bestLines := searchBreaks(f, xs, n, minSeg, minSpan)
+	bestSSE, bestI, bestJ, bestLines := searchBreaks(&f, xs, n, minSeg, minSpan)
 	if math.IsInf(bestSSE, 1) && minSpan > 0 {
 		// The span constraint left no candidates (e.g. points clustered at
 		// the range edges); retry unconstrained.
-		bestSSE, bestI, bestJ, bestLines = searchBreaks(f, xs, n, minSeg, 0)
+		bestSSE, bestI, bestJ, bestLines = searchBreaks(&f, xs, n, minSeg, 0)
 	}
 	// Breakpoints sit halfway between the neighbouring bin centers.
 	b1 := (xs[bestI-1] + xs[bestI]) / 2

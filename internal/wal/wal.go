@@ -240,6 +240,10 @@ type Log struct {
 	syncing  bool
 	failErr  error
 	failEnd  uint64
+	// broken is set when a failed write left a torn record that could
+	// not be cut off: replay would stop there and drop every later
+	// record, so every later Append and Commit fails with it.
+	broken error
 
 	buf []byte // encode scratch, reused across Appends
 
@@ -415,13 +419,23 @@ func (l *Log) Stats() ReplayStats {
 func (l *Log) Append(batch []core.Reading) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.broken != nil {
+		return 0, l.broken
+	}
 	if len(batch) > 0 {
 		l.buf = encodeRecord(l.buf[:0], batch)
 		n, err := l.f.Write(l.buf)
-		l.size += int64(n)
 		if err != nil {
+			// Cut off whatever part of the record landed: replay stops
+			// at the first torn record, so leaving it would strand
+			// every record appended after it.
+			if terr := l.f.Truncate(l.size); terr != nil {
+				l.broken = fmt.Errorf("wal: append: %w; torn record left in log: %w", err, terr)
+				return 0, l.broken
+			}
 			return 0, fmt.Errorf("wal: append: %w", err)
 		}
+		l.size += int64(n)
 		l.writeSeq++
 	}
 	if l.policy == SyncAlways {
@@ -456,14 +470,17 @@ func encodeRecord(dst []byte, batch []core.Reading) []byte {
 
 // Commit makes the batch Append returned seq for durable according to
 // the policy. SyncAlways already synced in Append and SyncOff never
-// syncs, so both return immediately; SyncBatch blocks until a group
-// fsync covers seq.
+// syncs, so both return at once; SyncBatch blocks until a group fsync
+// covers seq. A log broken by a torn record fails every Commit.
 func (l *Log) Commit(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.broken != nil {
+		return l.broken
+	}
 	if l.policy != SyncBatch {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for {
 		if l.syncSeq >= seq {
 			return nil
@@ -549,6 +566,7 @@ func (l *Log) Rewrite(batches [][]core.Reading) error {
 	// wait for batches appended after this point.
 	l.syncSeq = l.writeSeq
 	l.failErr = nil
+	l.broken = nil // the torn record went with the old file
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("wal: rewrite close old: %w", err)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -397,6 +398,130 @@ type countingFile struct {
 func (c *countingFile) Sync() error {
 	c.syncs.Add(1)
 	return c.File.Sync()
+}
+
+// tearFS hands out log files whose next Write, once tearNext is set,
+// lands only the first half of the record and then fails, as a full
+// disk or an I/O error mid-write would. With failTruncate the cleanup
+// truncate fails too.
+type tearFS struct {
+	FS
+	tearNext     bool
+	failTruncate bool
+}
+
+var errTornWrite = errors.New("injected torn write")
+
+func (t *tearFS) OpenAppend(path string) (File, error) {
+	f, err := t.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &tearFile{File: f, fs: t}, nil
+}
+
+type tearFile struct {
+	File
+	fs *tearFS
+}
+
+func (f *tearFile) Write(p []byte) (int, error) {
+	if !f.fs.tearNext {
+		return f.File.Write(p)
+	}
+	f.fs.tearNext = false
+	n, err := f.File.Write(p[:len(p)/2])
+	if err != nil {
+		return n, err
+	}
+	return n, errTornWrite
+}
+
+func (f *tearFile) Truncate(size int64) error {
+	if f.fs.failTruncate {
+		return errors.New("injected truncate failure")
+	}
+	return f.File.Truncate(size)
+}
+
+// TestCrashAfterFailedWrite: a write that lands part of a record and
+// fails must not strand the records acked after it. The failed batch
+// is not acked; the later one survives a crash and replays bit-exactly.
+func TestCrashAfterFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	fs := &tearFS{FS: OSFS}
+	l, err := Open(Options{Dir: dir, Policy: SyncBatch, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := [][]core.Reading{mkBatch(1, 0, 4)}
+	appendCommit := func(b []core.Reading) error {
+		seq, err := l.Append(b)
+		if err != nil {
+			return err
+		}
+		return l.Commit(seq)
+	}
+	if err := appendCommit(acked[0]); err != nil {
+		t.Fatal(err)
+	}
+	fs.tearNext = true
+	if err := appendCommit(mkBatch(2, 0, 4)); !errors.Is(err, errTornWrite) {
+		t.Fatalf("torn append: err = %v, want the write error", err)
+	}
+	later := mkBatch(3, 0, 4)
+	if err := appendCommit(later); err != nil {
+		t.Fatalf("append after a failed write: %v", err)
+	}
+	acked = append(acked, later)
+	l.Drop()
+
+	r, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.TruncatedBytes != 0 {
+		t.Errorf("reopen truncated %d bytes; the torn record was left in the log", st.TruncatedBytes)
+	}
+	got := collect(t, r)
+	if len(got) != len(acked) {
+		t.Fatalf("replayed %d batches, want the %d acked", len(got), len(acked))
+	}
+	for i := range acked {
+		sameReadings(t, got[i], acked[i])
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALBrokenWhenTornRecordStays: when the torn record cannot be cut
+// off, the log refuses every later Append and Commit rather than ack
+// batches replay would drop.
+func TestWALBrokenWhenTornRecordStays(t *testing.T) {
+	fs := &tearFS{FS: OSFS}
+	l, err := Open(Options{Dir: t.TempDir(), Policy: SyncOff, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.failTruncate = true
+	seq, err := l.Append(mkBatch(1, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.tearNext = true
+	if _, err := l.Append(mkBatch(1, 2, 2)); !errors.Is(err, errTornWrite) {
+		t.Fatalf("torn append: err = %v, want the write error", err)
+	}
+	if _, err := l.Append(mkBatch(1, 4, 2)); !errors.Is(err, errTornWrite) {
+		t.Fatalf("append on a broken log: err = %v, want the original failure", err)
+	}
+	if err := l.Commit(seq); err == nil {
+		t.Fatal("commit on a broken log succeeded")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestParsePolicy(t *testing.T) {
