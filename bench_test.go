@@ -161,34 +161,6 @@ func BenchmarkKernelSimilarityNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineThreeLine and BenchmarkLegacyThreeLine are the
-// pipeline-overhead A/B pair: the cursor-based execution layer versus
-// the direct core.RunParallel baseline over the same in-memory
-// dataset. scripts/bench.sh aggregates them into BENCH_pipeline.json;
-// the pipeline's extract/compute/emit staging and phase instrumentation
-// should cost low single-digit percent.
-func BenchmarkPipelineThreeLine(b *testing.B) {
-	ds := getDataset(b)
-	spec := core.Spec{Task: core.TaskThreeLine, Workers: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(exec.NewDatasetSource(ds), spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLegacyThreeLine(b *testing.B) {
-	ds := getDataset(b)
-	spec := core.Spec{Task: core.TaskThreeLine, Workers: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunParallel(context.Background(), ds, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFault{Baseline,QuarantineZero,QuarantineInjected} measure
 // what per-consumer failure containment costs on the pipeline hot path.
 // Baseline is the historical fail-fast run with no fault wrapper;
@@ -636,82 +608,6 @@ func BenchmarkUpdatesAppendDay(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Extraction overlap: serial vs prefetch A/B ----------------------------
-
-// extractDataset is larger than benchDataset (200 consumers) so the
-// extract stage dominates and the A/B isolates the overlap win rather
-// than kernel throughput. Cached across the four variants.
-var extractDataset *timeseries.Dataset
-
-func getExtractDataset(b *testing.B) *timeseries.Dataset {
-	b.Helper()
-	if extractDataset == nil {
-		ds, err := seed.Generate(seed.Config{Consumers: 200, Days: benchDays, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		extractDataset = ds
-	}
-	return extractDataset
-}
-
-// benchExtract times cold 3-line runs at 4 workers with the prefetcher
-// either live (partitioned cursors, overlapped decode) or pinned off
-// (one serial cursor). Neither engine is warmed, so every iteration
-// pays the engine-native extraction in full.
-func benchExtract(b *testing.B, eng core.Engine, prefetch core.PrefetchMode) {
-	spec := core.Spec{Task: core.TaskThreeLine, Workers: 4, Prefetch: prefetch}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchExtractFilestore(b *testing.B, prefetch core.PrefetchMode) {
-	ds := getExtractDataset(b)
-	src, err := meterdata.WritePartitioned(b.TempDir(), ds, meterdata.FormatReadingPerLine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := filestore.New()
-	if _, err := eng.LoadDirect(src); err != nil {
-		b.Fatal(err)
-	}
-	benchExtract(b, eng, prefetch)
-}
-
-func benchExtractRowstore(b *testing.B, prefetch core.PrefetchMode) {
-	ds := getExtractDataset(b)
-	src, err := meterdata.WritePartitioned(b.TempDir(), ds, meterdata.FormatReadingPerLine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := rowstore.New(b.TempDir())
-	defer eng.Close()
-	if _, err := eng.Load(src); err != nil {
-		b.Fatal(err)
-	}
-	benchExtract(b, eng, prefetch)
-}
-
-func BenchmarkExtractFilestoreSerial(b *testing.B) {
-	benchExtractFilestore(b, core.PrefetchOff)
-}
-
-func BenchmarkExtractFilestorePrefetch(b *testing.B) {
-	benchExtractFilestore(b, core.PrefetchAuto)
-}
-
-func BenchmarkExtractRowstoreSerial(b *testing.B) {
-	benchExtractRowstore(b, core.PrefetchOff)
-}
-
-func BenchmarkExtractRowstorePrefetch(b *testing.B) {
-	benchExtractRowstore(b, core.PrefetchAuto)
 }
 
 // --- Streaming (§6 future work) --------------------------------------------

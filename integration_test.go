@@ -84,17 +84,18 @@ func TestAllEnginesAgree(t *testing.T) {
 			t.Fatalf("%s load: %v", e.Name(), err)
 		}
 	}
-	// Each task runs twice per engine: once with the prefetcher free to
-	// overlap extraction over partitioned cursors, once pinned to the
-	// serial path. Both must match the single-threaded reference — the
-	// reorder stage makes the overlapped path indistinguishable from
-	// serial in its output.
+	// Each task runs twice per engine: at four workers, where the
+	// pipeline drains the engine's partition cursors, and at one worker,
+	// where it drains the engine's single cursor. Both must match the
+	// single-threaded reference — the reorder stage makes the
+	// partitioned run indistinguishable from the one-cursor run in its
+	// output.
 	modes := []struct {
-		name     string
-		prefetch core.PrefetchMode
+		name    string
+		workers int
 	}{
-		{"prefetch", core.PrefetchAuto},
-		{"serial", core.PrefetchOff},
+		{"partitioned", 4},
+		{"serial", 1},
 	}
 	for _, task := range core.Tasks {
 		want, err := core.RunReference(ref, core.Spec{Task: task, K: 3})
@@ -102,7 +103,7 @@ func TestAllEnginesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range modes {
-			spec := core.Spec{Task: task, K: 3, Workers: 4, Prefetch: m.prefetch}
+			spec := core.Spec{Task: task, K: 3, Workers: m.workers}
 			for _, e := range engines {
 				got, err := e.Run(spec)
 				if err != nil {

@@ -92,7 +92,6 @@ func Faults(opts Options) (*Report, error) {
 				res, err := exec.RunContext(ctx, fault.New(ec.src, cfg), core.Spec{
 					Task:       core.TaskThreeLine,
 					FailPolicy: policy,
-					Prefetch:   opts.Prefetch,
 				})
 				if err != nil {
 					return err

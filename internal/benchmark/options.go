@@ -22,12 +22,6 @@ type Options struct {
 	Scale Scale
 	// Seed drives all data generation.
 	Seed int64
-	// Prefetch pins the execution pipeline's extraction mode for every
-	// experiment Spec: the zero value lets eligible runs overlap
-	// extraction with compute, PrefetchOff forces the serial path
-	// (cmd/smbench -prefetch=off), which is the escape hatch for
-	// comparing against pre-overlap numbers.
-	Prefetch core.PrefetchMode
 	// FailPolicy is applied to every experiment Spec that does not pin
 	// its own: FailFast (the zero value) preserves the historical
 	// all-or-nothing semantics, Quarantine/Repair let experiments finish

@@ -105,7 +105,7 @@ func Recovery(opts Options) (*Report, error) {
 			}
 			var rerr error
 			res, _, rerr = exec.RunSnapshot(context.Background(), re,
-				core.Spec{Task: core.TaskHistogram, Workers: ingestWriters, Prefetch: opts.Prefetch})
+				core.Spec{Task: core.TaskHistogram, Workers: ingestWriters})
 			if rerr != nil {
 				return rerr
 			}

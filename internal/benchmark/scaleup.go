@@ -114,7 +114,7 @@ func scaleupRun(opts *Options, gen *generator.Generator, temp *timeseries.Temper
 	defer func() { _ = eng.Release() }()
 
 	histTime, err := Timed(func() error {
-		_, err := opts.run(eng, core.Spec{Task: core.TaskHistogram, Workers: 4, Prefetch: opts.Prefetch})
+		_, err := opts.run(eng, core.Spec{Task: core.TaskHistogram, Workers: 4})
 		return err
 	})
 	if err != nil {
@@ -124,7 +124,7 @@ func scaleupRun(opts *Options, gen *generator.Generator, temp *timeseries.Temper
 	_, mem, err := MeasureMem(time.Millisecond, func() error {
 		var err error
 		tlTime, err = Timed(func() error {
-			_, err := opts.run(eng, core.Spec{Task: core.TaskThreeLine, Workers: 4, Prefetch: opts.Prefetch})
+			_, err := opts.run(eng, core.Spec{Task: core.TaskThreeLine, Workers: 4})
 			return err
 		})
 		return err
@@ -133,7 +133,7 @@ func scaleupRun(opts *Options, gen *generator.Generator, temp *timeseries.Temper
 		return nil, err
 	}
 	parTime, err := Timed(func() error {
-		_, err := opts.run(eng, core.Spec{Task: core.TaskPAR, Workers: 4, Prefetch: opts.Prefetch})
+		_, err := opts.run(eng, core.Spec{Task: core.TaskPAR, Workers: 4})
 		return err
 	})
 	if err != nil {

@@ -130,7 +130,7 @@ func Fig5(opts Options) (*Report, error) {
 			return nil, err
 		}
 		dUnpart, err := Timed(func() error {
-			_, err := opts.run(e, core.Spec{Task: core.TaskThreeLine, Prefetch: opts.Prefetch})
+			_, err := opts.run(e, core.Spec{Task: core.TaskThreeLine})
 			return err
 		})
 		if err != nil {
@@ -140,7 +140,7 @@ func Fig5(opts Options) (*Report, error) {
 			return nil, err
 		}
 		dPart, err := Timed(func() error {
-			_, err := opts.run(e, core.Spec{Task: core.TaskThreeLine, Prefetch: opts.Prefetch})
+			_, err := opts.run(e, core.Spec{Task: core.TaskThreeLine})
 			return err
 		})
 		if err != nil {
@@ -192,7 +192,7 @@ func Fig6(opts Options) (*Report, error) {
 			return nil, err
 		}
 		cold, err := Timed(func() error {
-			_, err := opts.run(e.eng, core.Spec{Task: core.TaskThreeLine, Prefetch: opts.Prefetch})
+			_, err := opts.run(e.eng, core.Spec{Task: core.TaskThreeLine})
 			return err
 		})
 		if err != nil {
@@ -206,7 +206,7 @@ func Fig6(opts Options) (*Report, error) {
 		}
 		var warmRes *core.Results
 		warm, err := Timed(func() error {
-			r, err := opts.run(e.eng, core.Spec{Task: core.TaskThreeLine, Prefetch: opts.Prefetch})
+			r, err := opts.run(e.eng, core.Spec{Task: core.TaskThreeLine})
 			warmRes = r
 			return err
 		})
@@ -270,7 +270,7 @@ func Phases(opts Options) (*Report, error) {
 			if err := e.eng.Release(); err != nil {
 				return nil, err
 			}
-			res, err := opts.run(e.eng, core.Spec{Task: task, Prefetch: opts.Prefetch})
+			res, err := opts.run(e.eng, core.Spec{Task: task})
 			if err != nil {
 				return nil, err
 			}
@@ -389,7 +389,7 @@ func Fig8(opts Options) (*Report, error) {
 				return nil, err
 			}
 			_, mem, err := MeasureMem(500*time.Microsecond, func() error {
-				_, err := opts.run(eng, core.Spec{Task: task, Prefetch: opts.Prefetch})
+				_, err := opts.run(eng, core.Spec{Task: task})
 				return err
 			})
 			if err != nil {
@@ -439,7 +439,7 @@ func Fig9(opts Options) (*Report, error) {
 				return nil, err
 			}
 			d, err := Timed(func() error {
-				_, err := opts.run(m.eng, core.Spec{Task: task, Prefetch: opts.Prefetch})
+				_, err := opts.run(m.eng, core.Spec{Task: task})
 				return err
 			})
 			if err != nil {
@@ -481,7 +481,7 @@ func Fig10(opts Options) (*Report, error) {
 		var base time.Duration
 		for _, w := range opts.Scale.Workers {
 			d, err := Timed(func() error {
-				_, err := opts.run(eng, core.Spec{Task: task, Workers: w, Prefetch: opts.Prefetch})
+				_, err := opts.run(eng, core.Spec{Task: task, Workers: w})
 				return err
 			})
 			if err != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"math"
 	"strings"
 	"testing"
 
@@ -70,62 +68,5 @@ func TestResultsCount(t *testing.T) {
 	r := &Results{Task: Task(99)}
 	if r.Count() != 0 {
 		t.Error("unknown task count")
-	}
-}
-
-func TestRunParallelMatchesReference(t *testing.T) {
-	ds := dataset(t, 7, 30)
-	for _, task := range []Task{TaskHistogram, TaskThreeLine, TaskPAR} {
-		want, err := RunReference(ds, Spec{Task: task})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunParallel(context.Background(), ds, Spec{Task: task, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Count() != want.Count() {
-			t.Fatalf("%v: count %d vs %d", task, got.Count(), want.Count())
-		}
-		switch task {
-		case TaskHistogram:
-			for i := range want.Histograms {
-				if got.Histograms[i].ID != want.Histograms[i].ID {
-					t.Fatalf("%v: order differs at %d", task, i)
-				}
-			}
-		case TaskThreeLine:
-			for i := range want.ThreeLines {
-				if math.Abs(got.ThreeLines[i].HeatingGradient-want.ThreeLines[i].HeatingGradient) > 1e-12 {
-					t.Fatalf("3-line %d differs", i)
-				}
-			}
-		case TaskPAR:
-			for i := range want.Profiles {
-				if got.Profiles[i].ID != want.Profiles[i].ID {
-					t.Fatalf("PAR order differs at %d", i)
-				}
-			}
-		}
-	}
-	// Similarity delegates to the parallel similarity implementation.
-	got, err := RunParallel(context.Background(), ds, Spec{Task: TaskSimilarity, Workers: 4, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != 7 {
-		t.Errorf("similarity count = %d", got.Count())
-	}
-	if _, err := RunParallel(context.Background(), ds, Spec{Task: Task(99), Workers: 2}); err == nil {
-		t.Error("unknown task: want error")
-	}
-}
-
-func TestRunParallelPropagatesErrors(t *testing.T) {
-	// One empty series makes the histogram task fail in a worker.
-	ds := dataset(t, 4, 10)
-	ds.Series[2] = &timeseries.Series{ID: 99}
-	if _, err := RunParallel(context.Background(), ds, Spec{Task: TaskHistogram, Workers: 4}); err == nil {
-		t.Error("want error from worker")
 	}
 }

@@ -8,8 +8,8 @@ package core
 // are bulk-loaded in household order), the column store by consumer
 // segment groups, and the cluster engines by RDD partition / DFS split.
 //
-// The execution pipeline (internal/exec) uses it to overlap extraction
-// with compute: one decode goroutine per partition cursor feeds a
+// The execution pipeline (internal/exec) uses it to spread extraction
+// over goroutines: one decode goroutine per partition cursor feeds a
 // bounded channel of series blocks that compute workers drain.
 type PartitionedSource interface {
 	// NewCursors opens up to max independent cursors that jointly cover
@@ -17,9 +17,9 @@ type PartitionedSource interface {
 	// and the union of their household IDs equals the full cursor's ID
 	// set. Each returned cursor honours the Cursor contract within its
 	// partition (ascending IDs, EOF stability, Reset replay, idempotent
-	// Close). Implementations may return fewer than max cursors — a
-	// single cursor tells the caller to fall back to the serial path —
-	// but never more, and max must be >= 1.
+	// Close). Implementations may return fewer than max cursors, even
+	// none (the caller then drains NewCursor), but never more, and max
+	// must be >= 1.
 	//
 	// The cursors may be driven concurrently, one goroutine per cursor;
 	// Close on each is required regardless of how far it was drained.

@@ -339,12 +339,17 @@ func (c *Cluster) Run(tasks []Task) error {
 }
 
 // RunCtx is Run under a cancellation context: tasks not yet started
-// when ctx fires are skipped, running tasks stop paying modeled delays,
-// and the first ctx error wins over task errors so callers see a clean
+// when ctx fires are skipped (including those still waiting for a
+// slot), running tasks stop paying modeled delays, and the first ctx
+// error wins over task errors so callers see a clean
 // context.Canceled / DeadlineExceeded.
 func (c *Cluster) RunCtx(runCtx context.Context, tasks []Task) error {
 	if len(tasks) == 0 {
 		return nil
+	}
+	var done <-chan struct{}
+	if runCtx != nil {
+		done = runCtx.Done()
 	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(tasks))
@@ -355,10 +360,14 @@ func (c *Cluster) RunCtx(runCtx context.Context, tasks []Task) error {
 			defer wg.Done()
 			pref := task.PreferredNodes
 			for attempt := 0; ; attempt++ {
+				node := c.acquire(done, pref)
+				if node == nil {
+					return // cancelled while waiting for a slot
+				}
 				if runCtx != nil && runCtx.Err() != nil {
+					node.slots <- struct{}{}
 					return
 				}
-				node := c.acquire(pref)
 				if c.attemptFails() {
 					node.slots <- struct{}{}
 					c.retries.Add(1)
@@ -405,8 +414,9 @@ func without(nodes []int, id int) []int {
 }
 
 // acquire takes a slot, preferring the task's local nodes but falling
-// back to any free node rather than waiting forever.
-func (c *Cluster) acquire(preferred []int) *Node {
+// back to any free node rather than waiting forever. It returns nil if
+// done closes while every slot is busy; a nil done never closes.
+func (c *Cluster) acquire(done <-chan struct{}, preferred []int) *Node {
 	// Fast path: a preferred node has a free slot.
 	for _, p := range preferred {
 		if p >= 0 && p < len(c.nodes) {
@@ -434,8 +444,12 @@ func (c *Cluster) acquire(preferred []int) *Node {
 		}
 		// Everything busy: block on the first preferred (or first) node.
 		n := c.nodes[start]
-		<-n.slots
-		return n
+		select {
+		case <-n.slots:
+			return n
+		case <-done:
+			return nil
+		}
 	}
 }
 

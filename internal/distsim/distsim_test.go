@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -71,6 +72,43 @@ func TestRunPropagatesError(t *testing.T) {
 	}
 	if err := c.Run(nil); err != nil {
 		t.Errorf("empty run err = %v", err)
+	}
+}
+
+// Tasks still queued for a slot when the context is cancelled never run:
+// a cancelled job must not keep executing its backlog of task bodies.
+func TestRunCtxSkipsQueuedTasksOnCancel(t *testing.T) {
+	c := testCluster(t, 1, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var ran atomic.Int64
+	tasks := make([]Task, 20)
+	for i := range tasks {
+		tasks[i] = Task{Fn: func(*TaskCtx) error {
+			if ran.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			return nil
+		}}
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- c.RunCtx(ctx, tasks) }()
+	<-started
+	cancel()
+	close(release)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunCtx did not return after cancellation")
+	}
+	if n := ran.Load(); n != 1 {
+		t.Errorf("%d task bodies ran, want only the one running at cancellation", n)
 	}
 }
 

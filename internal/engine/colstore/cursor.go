@@ -90,7 +90,7 @@ func (c *flatCursor) SizeHint() (int, bool) { return c.st.consumers, true }
 // consumer segments [lo, hi) — a partition cursor. Each partition owns
 // its own flat buffer so concurrent decode goroutines never share a
 // write target, and unlike the full cursor it never installs the
-// decoded dataset on the engine (that cache is the serial path's and
+// decoded dataset on the engine (that cache is the full cursor's and
 // Warm's job; installing from racing partitions would need
 // synchronization for no benefit).
 type flatRangeCursor struct {
@@ -148,7 +148,7 @@ func (c *flatRangeCursor) SizeHint() (int, bool) { return c.hi - c.lo, true }
 // allocation — it must survive arbitrarily long in the compute phase
 // while the cache recycles frames underneath it. Partition cursors over
 // disjoint ranges share one pager, so the byte budget is global no
-// matter how many cursors the prefetcher opens.
+// matter how many cursors the exec pipeline opens.
 type pagedCursor struct {
 	p       *pager
 	ctx     context.Context

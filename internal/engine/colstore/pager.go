@@ -24,7 +24,7 @@ type blockFrame struct {
 
 // pager is the fixed byte-budget cache of decoded blocks shared by all
 // cursors of a paged engine. It is safe for concurrent use: partition
-// cursors decode in parallel under the prefetcher.
+// cursors decode in parallel under the exec pipeline.
 type pager struct {
 	st     *segStore
 	budget int64
@@ -61,7 +61,7 @@ func (p *pager) fetch(c, b int, scratch []byte) (*blockFrame, []byte, error) {
 
 	// Decode outside the lock: concurrent partition cursors miss on
 	// disjoint blocks, so serializing I/O+decode here would forfeit the
-	// prefetcher's overlap.
+	// exec pipeline's overlap.
 	h := p.st.hdr(c, b)
 	vals := make([]float64, h.count)
 	scratch, err := p.st.readBlockVals(c, b, scratch, vals)

@@ -207,9 +207,15 @@ func (e *Engine) Append(batch []core.Reading) error {
 // applyBatch inserts the batch's fresh readings. LayoutArrays
 // coalesces each maximal contiguous same-household run into chunk
 // tuples, so chunks never span a batch — the invariant the truncating
-// prefix reads rely on. Household lengths advance only once tuples are
-// actually inserted, so an aborted batch leaves a retryable state.
+// prefix reads rely on. The whole batch is validated before any of it
+// is applied, so a rejected batch leaves the pool, the index and the
+// live state untouched; household lengths advance only once tuples are
+// actually inserted, so a batch aborted by a storage error leaves a
+// retryable state.
 func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
+	if err := ls.validate(batch); err != nil {
+		return err
+	}
 	tb := e.table
 	var buf []byte
 	var runID timeseries.ID
@@ -231,16 +237,7 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 	}
 	for i := range batch {
 		r := &batch[i]
-		if r.Hour < 0 {
-			return fmt.Errorf("rowstore: negative hour %d for household %d", r.Hour, r.ID)
-		}
 		expected, known := ls.lens[r.ID]
-		if !known {
-			if r.ID <= 0 {
-				return fmt.Errorf("rowstore: household id must be positive, got %d", r.ID)
-			}
-			expected = 0
-		}
 		if tb.layout == LayoutArrays && r.ID == runID && len(runCons) > 0 {
 			// The pending run extends this household past its flushed
 			// length.
@@ -251,9 +248,6 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 		if r.Hour < expected {
 			continue // duplicate redelivery: already committed
 		}
-		if r.Hour > expected {
-			return fmt.Errorf("rowstore: household %d: gap at hour %d, expected %d", r.ID, r.Hour, expected)
-		}
 		if !known {
 			// First reading of a new household: register it in the
 			// ascending ID list (base households were pre-registered).
@@ -263,11 +257,8 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 			ls.ids[pos] = r.ID
 			ls.lens[r.ID] = 0
 		}
-		switch {
-		case r.Hour == len(ls.temp):
+		if r.Hour == len(ls.temp) {
 			ls.temp = append(ls.temp, r.Temperature)
-		case r.Hour > len(ls.temp):
-			return fmt.Errorf("rowstore: temperature gap: reading at hour %d, column covers %d", r.Hour, len(ls.temp))
 		}
 		switch tb.layout {
 		case LayoutRows:
@@ -295,6 +286,43 @@ func (e *Engine) applyBatch(ls *liveState, batch []core.Reading) error {
 		}
 	}
 	return flushRun()
+}
+
+// validate checks the whole batch, in batch order, against the state
+// it would extend, changing nothing: non-negative hours, positive IDs
+// for new households, and no gap in any household or in the shared
+// temperature column. Redelivered hours are skipped, as applyBatch
+// skips them.
+func (ls *liveState) validate(batch []core.Reading) error {
+	next := make(map[timeseries.ID]int, len(batch)) // next hour per household, batch applied so far
+	temp := len(ls.temp)
+	for i := range batch {
+		r := &batch[i]
+		if r.Hour < 0 {
+			return fmt.Errorf("rowstore: negative hour %d for household %d", r.Hour, r.ID)
+		}
+		expected, ok := next[r.ID]
+		if !ok {
+			var known bool
+			if expected, known = ls.lens[r.ID]; !known && r.ID <= 0 {
+				return fmt.Errorf("rowstore: household id must be positive, got %d", r.ID)
+			}
+		}
+		if r.Hour < expected {
+			continue // duplicate redelivery: already committed
+		}
+		if r.Hour > expected {
+			return fmt.Errorf("rowstore: household %d: gap at hour %d, expected %d", r.ID, r.Hour, expected)
+		}
+		next[r.ID] = expected + 1
+		switch {
+		case r.Hour == temp:
+			temp++
+		case r.Hour > temp:
+			return fmt.Errorf("rowstore: temperature gap: reading at hour %d, column covers %d", r.Hour, temp)
+		}
+	}
+	return nil
 }
 
 // Snapshot implements core.Appender: a read-isolated cursor over the

@@ -357,21 +357,28 @@ func TestWALRejectedBatchRecovers(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			snap := func() map[timeseries.ID][]float64 {
+				cur, _, err := e.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+				return drainSnap(t, cur)
+			}
 			at := func(h int) core.Reading { return hourBatch(ids[:1], baseN+h)[0] }
+			before := snap()
 			if err := e.Append([]core.Reading{at(5), at(7)}); err == nil {
 				t.Fatal("batch with a gap acked")
 			}
+			// A rejected batch leaves nothing visible, not even the
+			// readings before its gap.
+			sameRows(t, snap(), before)
 			for h := 5; h <= 6; h++ {
 				if err := e.Append([]core.Reading{at(h)}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			cur, _, err := e.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := drainSnap(t, cur)
-			cur.Close()
+			want := snap()
 			e.Crash()
 
 			re := New(dir, WithWAL(wal.SyncBatch))

@@ -10,22 +10,19 @@
 // therefore shrink to Load + NewCursor + capabilities; none of them
 // re-implements task switching.
 //
-// Per-consumer tasks stream: the pipeline pulls a small block of series
-// off the cursor (extract), fans the task kernel out over workers
-// (compute), and appends the block's results in cursor order (emit).
-// Blocks keep a partitioned file engine's memory flat (Figure 8) while
-// still feeding enough work per scheduling round. The whole-dataset
+// Per-consumer tasks stream through one pipeline (pipeline.go): a
+// decode goroutine per cursor pulls blocks of series off it (extract),
+// compute workers run the task kernel over whole blocks as they land
+// (compute), and a reorder keyed by household ID assembles the results
+// (emit). The pipeline drains the engine's disjoint partition cursors
+// when it implements core.PartitionedSource and more than one worker is
+// in play, and its single cursor otherwise; the serial case is simply
+// the one-cursor case. Phase times are per-goroutine busy sums. Blocks
+// keep a partitioned file engine's memory flat (Figure 8) while still
+// feeding enough work per scheduling round. The whole-dataset
 // similarity task instead materializes the cursor once and runs the
 // blocked kernel; a warm engine's DatasetCursor short-circuits that
 // materialization so the dataset's cached flat-matrix packing survives.
-//
-// When the engine also implements core.PartitionedSource and the spec
-// asks for more than one worker, streaming tasks take the overlapped
-// path instead (prefetch.go): decode goroutines drain disjoint
-// partition cursors into a bounded block channel that compute workers
-// consume, phase times become per-goroutine busy sums, and a reorder
-// stage keyed by household ID keeps results bit-identical to the serial
-// path. core.PrefetchOff pins the serial path for A/B runs.
 //
 // # Failure containment
 //
@@ -61,7 +58,6 @@ import (
 	"github.com/smartmeter/smartbench/internal/histogram"
 	"github.com/smartmeter/smartbench/internal/impute"
 	"github.com/smartmeter/smartbench/internal/par"
-	"github.com/smartmeter/smartbench/internal/sched"
 	"github.com/smartmeter/smartbench/internal/similarity"
 	"github.com/smartmeter/smartbench/internal/threeline"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -84,8 +80,9 @@ type ParallelHinter interface {
 	ParallelHint() int
 }
 
-// NewDatasetSource adapts an in-memory dataset to Source. Tests and the
-// pipeline-vs-legacy benchmark use it as the minimal engine.
+// NewDatasetSource adapts an in-memory dataset to Source: the minimal
+// engine, with one cursor over the dataset. Tests and benchmarks use it
+// to run the pipeline without storage.
 func NewDatasetSource(ds *timeseries.Dataset) Source { return datasetSource{ds: ds} }
 
 type datasetSource struct{ ds *timeseries.Dataset }
@@ -94,18 +91,6 @@ func (s datasetSource) NewCursor() (core.Cursor, error) { return core.NewDataset
 
 func (s datasetSource) Temperature() (*timeseries.Temperature, error) {
 	return s.ds.Temperature, nil
-}
-
-// blockFor sizes the extract block: enough rows to keep every worker
-// busy for a few scheduler pulls, small enough that a streaming cursor
-// (the partitioned file engine, the row store) holds only a bounded
-// number of decoded series at a time.
-func blockFor(workers int) int {
-	b := 4 * workers
-	if b < 16 {
-		b = 16
-	}
-	return b
 }
 
 // Extraction retry schedule for transient per-consumer errors under
@@ -143,7 +128,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // contain carries one run's failure-containment state: the policy and
 // the quarantined consumers. add is safe for concurrent use (the
-// overlapped path's decode goroutines and compute workers share one
+// pipeline's decode goroutines and compute workers share one
 // collector).
 type contain struct {
 	policy core.FailPolicy
@@ -282,16 +267,20 @@ func Run(src Source, spec core.Spec) (*core.Results, error) {
 	return RunContext(context.Background(), src, spec)
 }
 
-// RunContext executes one task from the source's cursor through the
+// RunContext executes one task from the source's cursors through the
 // instrumented three-stage pipeline. Result order is ascending
-// household ID — the order the Cursor contract fixes for serial
-// extraction and the order core.RunReference produces — so engines stay
-// bit-identical to the oracle on both the serial and the overlapped
-// path. Cancelling ctx stops the run promptly with every pipeline
-// goroutine joined and every cursor closed.
+// household ID — the order the Cursor contract fixes and the order
+// core.RunReference produces — so engines stay bit-identical to the
+// oracle with one cursor or many. Cancelling ctx stops the run promptly
+// with every pipeline goroutine joined and every cursor closed.
 func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results, error) {
 	requested := spec.Workers
 	spec = spec.WithDefaults()
+	switch spec.Task {
+	case core.TaskHistogram, core.TaskThreeLine, core.TaskPAR, core.TaskSimilarity:
+	default:
+		return nil, fmt.Errorf("exec: unknown task %v", spec.Task)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -344,61 +333,50 @@ func RunContext(ctx context.Context, src Source, spec core.Spec) (*core.Results,
 		return out, nil
 	}
 
-	// Overlapped extraction: streaming task + >1 worker + engine exposes
-	// disjoint partitions + the spec didn't pin the serial path. A
-	// single-partition answer falls back to the serial loop over that
-	// cursor; an empty one to the plain NewCursor path.
-	if spec.Task != core.TaskSimilarity && workers > 1 && spec.Prefetch != core.PrefetchOff {
-		if ps, ok := src.(core.PartitionedSource); ok {
-			start = time.Now()
-			curs, err := ps.NewCursors(workers)
-			ph.Extract.Wall += time.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			for _, cur := range curs {
-				core.BindContext(cur, ctx)
-			}
-			if len(curs) >= 2 {
-				if err := runPrefetch(ctx, curs, temp, spec, workers, out, cn); err != nil {
-					return nil, err
-				}
-				cn.finish(out)
-				return out, nil
-			}
-			if len(curs) == 1 {
-				cur := curs[0]
-				defer func() { _ = cur.Close() }()
-				if err := runStreaming(ctx, cur, temp, spec, workers, out, cn); err != nil {
-					return nil, err
-				}
-				cn.finish(out)
-				return out, nil
-			}
-		}
-	}
-
-	start = time.Now()
-	cur, err := src.NewCursor()
-	ph.Extract.Wall += time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	core.BindContext(cur, ctx)
-	defer func() { _ = cur.Close() }()
-
 	if spec.Task == core.TaskSimilarity {
+		start = time.Now()
+		cur, err := src.NewCursor()
+		ph.Extract.Wall += time.Since(start)
+		if err != nil {
+			return nil, err
+		}
+		core.BindContext(cur, ctx)
+		defer func() { _ = cur.Close() }()
 		if err := runSimilarity(ctx, cur, temp, spec, workers, out, cn); err != nil {
 			return nil, err
 		}
 		cn.finish(out)
 		return out, nil
 	}
-	if err := runStreaming(ctx, cur, temp, spec, workers, out, cn); err != nil {
+
+	start = time.Now()
+	curs, err := streamCursors(src, workers)
+	ph.Extract.Wall += time.Since(start)
+	if err != nil {
+		return nil, err
+	}
+	if err := runStreaming(ctx, curs, temp, spec, workers, out, cn); err != nil {
 		return nil, err
 	}
 	cn.finish(out)
 	return out, nil
+}
+
+// streamCursors chooses the cursors a streaming task drains: the
+// engine's disjoint partitions when it exposes at least one and more
+// than one worker can use them, otherwise its single cursor.
+func streamCursors(src Source, workers int) ([]core.Cursor, error) {
+	if ps, ok := src.(core.PartitionedSource); ok && workers > 1 {
+		curs, err := ps.NewCursors(workers)
+		if err != nil || len(curs) > 0 {
+			return curs, err
+		}
+	}
+	cur, err := src.NewCursor()
+	if err != nil {
+		return nil, err
+	}
+	return []core.Cursor{cur}, nil
 }
 
 // runSimilarity materializes the cursor (extract) and runs the blocked
@@ -507,47 +485,6 @@ func screenDataset(ctx context.Context, ds *timeseries.Dataset, cn *contain) (*t
 	return &timeseries.Dataset{Series: series, Temperature: ds.Temperature}, nil
 }
 
-// runStreaming is the per-consumer path: extract a block of series,
-// compute the kernel over workers, emit in cursor order, repeat.
-func runStreaming(ctx context.Context, cur core.Cursor, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
-	switch spec.Task {
-	case core.TaskHistogram, core.TaskThreeLine, core.TaskPAR:
-	default:
-		return fmt.Errorf("exec: unknown task %v", spec.Task)
-	}
-	ph := out.Phases
-	block := blockFor(workers)
-	buf := make([]*timeseries.Series, 0, block)
-	// Per-worker 3-line sub-phase accumulators (summed at the end so the
-	// compute fan-out stays write-disjoint).
-	tims := make([]threeline.Timing, workers)
-	for {
-		buf = buf[:0]
-		start := time.Now()
-		drained, err := fill(ctx, cur, &buf, block, cn)
-		ph.Extract.Wall += time.Since(start)
-		if err != nil {
-			return err
-		}
-		ph.Extract.Rows += int64(len(buf))
-		ph.Extract.Bytes += seriesBytes(buf)
-		if len(buf) > 0 {
-			if err := computeBlock(buf, temp, spec, workers, out, tims, cn); err != nil {
-				return err
-			}
-		}
-		if drained {
-			break
-		}
-	}
-	for _, tm := range tims {
-		ph.T1Quantiles += tm.T1Quantiles
-		ph.T2Regression += tm.T2Regression
-		ph.T3Adjust += tm.T3Adjust
-	}
-	return nil
-}
-
 // fill pulls up to block computable series off the cursor, retrying and
 // quarantining per the fail policy; drained reports that the cursor hit
 // io.EOF.
@@ -601,92 +538,6 @@ func safePAR(s *timeseries.Series, temp *timeseries.Temperature, order int) (r *
 		}
 	}()
 	return par.ComputeOrder(s, temp, order)
-}
-
-// computeBlock runs the per-consumer kernel over one extracted block and
-// appends the surviving results in block order.
-func computeBlock(buf []*timeseries.Series, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, tims []threeline.Timing, cn *contain) error {
-	ph := out.Phases
-	n := len(buf)
-	start := time.Now()
-	var hists []*histogram.Result
-	var lines []*threeline.Result
-	var profs []*par.Result
-	switch spec.Task {
-	case core.TaskHistogram:
-		hists = make([]*histogram.Result, n)
-	case core.TaskThreeLine:
-		lines = make([]*threeline.Result, n)
-	case core.TaskPAR:
-		profs = make([]*par.Result, n)
-	}
-	err := sched.Run(n, 1, workers, func(w, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			s := buf[i]
-			switch spec.Task {
-			case core.TaskHistogram:
-				r, err := safeBuckets(s, spec.Buckets)
-				if err != nil {
-					if err := cn.computeErr(s.ID, err); err != nil {
-						return err
-					}
-					continue
-				}
-				hists[i] = r
-			case core.TaskThreeLine:
-				r, tm, err := safeThreeLine(s, temp)
-				if err != nil {
-					if err := cn.computeErr(s.ID, err); err != nil {
-						return err
-					}
-					continue
-				}
-				tims[w].T1Quantiles += tm.T1Quantiles
-				tims[w].T2Regression += tm.T2Regression
-				tims[w].T3Adjust += tm.T3Adjust
-				lines[i] = r
-			case core.TaskPAR:
-				r, err := safePAR(s, temp, spec.Order)
-				if err != nil {
-					if err := cn.computeErr(s.ID, err); err != nil {
-						return err
-					}
-					continue
-				}
-				profs[i] = r
-			}
-		}
-		return nil
-	})
-	ph.Compute.Wall += time.Since(start)
-	ph.Compute.Rows += int64(n)
-	if err != nil {
-		return err
-	}
-
-	start = time.Now()
-	emitted := 0
-	for _, r := range hists {
-		if r != nil {
-			out.Histograms = append(out.Histograms, r)
-			emitted++
-		}
-	}
-	for _, r := range lines {
-		if r != nil {
-			out.ThreeLines = append(out.ThreeLines, r)
-			emitted++
-		}
-	}
-	for _, r := range profs {
-		if r != nil {
-			out.Profiles = append(out.Profiles, r)
-			emitted++
-		}
-	}
-	ph.Emit.Wall += time.Since(start)
-	ph.Emit.Rows += int64(emitted)
-	return nil
 }
 
 // seriesBytes approximates the decoded payload of a series slice (8

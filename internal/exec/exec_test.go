@@ -23,23 +23,32 @@ func makeDataset(t *testing.T, consumers, days int) *timeseries.Dataset {
 
 func TestRunMatchesReference(t *testing.T) {
 	ds := makeDataset(t, 6, 30)
+	sources := []struct {
+		name string
+		src  Source
+	}{
+		{"dataset", NewDatasetSource(ds)},
+		{"partitioned", partitionedSource{ds: ds}},
+	}
 	for _, task := range core.Tasks {
 		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%v_w%d", task, workers), func(t *testing.T) {
-				spec := core.Spec{Task: task, K: 3, Workers: workers}
-				got, err := Run(NewDatasetSource(ds), spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := core.RunReference(ds, spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Count() != want.Count() {
-					t.Fatalf("count = %d, want %d", got.Count(), want.Count())
-				}
-				compareResults(t, got, want)
-			})
+			for _, sc := range sources {
+				t.Run(fmt.Sprintf("%v_w%d_%s", task, workers, sc.name), func(t *testing.T) {
+					spec := core.Spec{Task: task, K: 3, Workers: workers}
+					got, err := Run(sc.src, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := core.RunReference(ds, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Count() != want.Count() {
+						t.Fatalf("count = %d, want %d", got.Count(), want.Count())
+					}
+					compareResults(t, got, want)
+				})
+			}
 		}
 	}
 }
@@ -129,13 +138,22 @@ func TestParallelHintOnlyWhenWorkersUnset(t *testing.T) {
 	}
 }
 
+// A block is what one worker computes, so a cursor's blocks shrink until
+// its remaining series cover every worker it feeds; a cursor without a
+// size hint gets the cap.
 func TestBlockFor(t *testing.T) {
-	for _, tc := range []struct{ workers, want int }{
-		{1, 16}, {2, 16}, {4, 16}, {8, 32}, {16, 64},
+	ds := makeDataset(t, 200, 4)
+	for _, tc := range []struct{ taken, workers, want int }{
+		{0, 1, 16}, {184, 1, 16}, {195, 1, 5}, {200, 1, 1},
+		{0, 4, 16}, {0, 64, 4}, {0, 200, 1}, {190, 4, 3},
 	} {
-		if got := blockFor(tc.workers); got != tc.want {
-			t.Errorf("blockFor(%d) = %d, want %d", tc.workers, got, tc.want)
+		if got := blockFor(core.NewDatasetCursor(ds), tc.taken, tc.workers); got != tc.want {
+			t.Errorf("blockFor(200 series, taken %d, %d workers) = %d, want %d", tc.taken, tc.workers, got, tc.want)
 		}
+	}
+	unsized := struct{ core.Cursor }{core.NewDatasetCursor(ds)}
+	if got := blockFor(unsized, 0, 64); got != maxBlock {
+		t.Errorf("blockFor(no size hint) = %d, want %d", got, maxBlock)
 	}
 }
 

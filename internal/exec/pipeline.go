@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -14,38 +13,48 @@ import (
 	"github.com/smartmeter/smartbench/internal/timeseries"
 )
 
-// This file is the overlapped extraction path: when an engine exposes
-// disjoint partition cursors (core.PartitionedSource) and the spec asks
-// for more than one worker on a streaming task, Run hands the cursors to
-// runPrefetch instead of the serial loop. One decode goroutine per
-// partition drains its cursor into a bounded channel of series blocks;
-// compute workers consume blocks as they land, so decode and kernel time
-// overlap instead of alternating. A reorder stage keyed by household ID
-// restores cursor order, keeping every engine bit-identical to
+// This file is the one per-consumer pipeline every streaming task
+// (histogram, 3-line, PAR) runs through. RunContext hands it the
+// cursors to drain: an engine's disjoint partition cursors
+// (core.PartitionedSource) when more than one worker can use them,
+// otherwise a single cursor — the engine's own or the summary-assembly
+// cursor of the PAR fast path. One decode goroutine per cursor drains it
+// into a bounded channel of series blocks; compute workers consume
+// blocks as they land, so decode and kernel time overlap instead of
+// alternating, even with one cursor. A reorder stage keyed by household
+// ID restores cursor order, keeping every engine bit-identical to
 // core.RunReference.
 //
-// Memory stays flat: the channel holds at most two blocks per partition
-// (double buffering — one being filled, one in flight), so a fully
-// backed-up pipeline pins O(partitions × block) series, the same order
-// of residency as the serial path's single block times the worker count.
+// Memory stays flat: each decode goroutine fills one block, the channel
+// holds at most two more per cursor, and each worker computes one, so a
+// fully backed-up pipeline pins O((3·cursors + workers) × maxBlock)
+// series.
 //
-// Phase accounting moves from the serial stopwatch to per-goroutine
-// busy-time accumulators: each decode goroutine owns one slot of the
-// extract accumulators, each worker one slot of the compute
-// accumulators, and the sums are gathered only after the WaitGroup
-// joins. Under overlap the summed busy time legitimately exceeds the
-// Run's elapsed wall clock — that surplus is the measured overlap.
+// A block is the unit one worker computes, so its size decides how many
+// workers a cursor can keep busy: blockFor cuts each cursor's remaining
+// series over the workers it feeds (guided self-scheduling), so a
+// single cursor in front of many workers hands out small blocks rather
+// than its whole output in one or two.
+//
+// Phase times are per-goroutine busy-time accumulators: each decode
+// goroutine owns one slot of the extract accumulators, each worker one
+// slot of the compute accumulators, and the sums are gathered only after
+// the WaitGroups join. Under overlap the summed busy time legitimately
+// exceeds the Run's elapsed wall clock — that surplus is the measured
+// overlap. Anything a cursor's Next records on its own (the summary
+// cursor's block counters) is likewise written only by its decode
+// goroutine and read only after the joins.
 //
 // Failure containment composes with the overlap: each decode goroutine
-// runs the same retry/quarantine/repair logic as the serial fill (the
-// shared contain collector is mutex-guarded), a panic in a decode
-// goroutine or compute worker is recovered into the shared error slot
-// instead of killing the process, and cancelling the run context closes
-// the stop channel path so every goroutine parks out promptly.
+// runs the retry/quarantine/repair logic of fill (the shared contain
+// collector is mutex-guarded), a panic in a decode goroutine or compute
+// worker is recovered into the shared error slot instead of killing the
+// process, and cancelling the run context closes the stop channel so
+// every goroutine parks out promptly.
 
-// prefetchBlock is one extracted block in flight from a partition's
+// extractedBlock is one extracted block in flight from a cursor's
 // decode goroutine to the compute workers.
-type prefetchBlock struct {
+type extractedBlock struct {
 	part, seq int
 	series    []*timeseries.Series
 }
@@ -60,25 +69,21 @@ type computedBlock struct {
 	profs     []*par.Result
 }
 
-// runPrefetch drives the overlapped pipeline over the partition cursors.
-// It takes ownership of every cursor in curs and closes them all, and
-// returns only after every goroutine it started has exited.
-func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
-	switch spec.Task {
-	case core.TaskHistogram, core.TaskThreeLine, core.TaskPAR:
-	default:
-		for _, c := range curs {
-			_ = c.Close()
-		}
-		return fmt.Errorf("exec: unknown task %v", spec.Task)
+// runStreaming drives the pipeline over curs. It binds every cursor to
+// ctx, takes ownership of them and closes them all, and returns only
+// after every goroutine it started has exited.
+func runStreaming(ctx context.Context, curs []core.Cursor, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
+	for _, cur := range curs {
+		core.BindContext(cur, ctx)
 	}
 	ph := out.Phases
 	nparts := len(curs)
-	block := blockFor(workers)
+	// Workers each cursor feeds when the pool is shared evenly.
+	share := (workers + nparts - 1) / nparts
 
 	// Double-buffered and backpressured: a decode goroutine that gets two
 	// blocks ahead of compute parks on the send instead of decoding on.
-	blocks := make(chan prefetchBlock, 2*nparts)
+	blocks := make(chan extractedBlock, 2*nparts)
 	stop := make(chan struct{})
 	var (
 		failOnce sync.Once
@@ -132,6 +137,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 			}()
 			seq := 0
 			for {
+				block := blockFor(cur, int(extractRows[p]), share)
 				// Fresh buffer per block: the previous one is owned by
 				// whichever worker picked it up.
 				buf := make([]*timeseries.Series, 0, block)
@@ -146,7 +152,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 				extractBytes[p] += seriesBytes(buf)
 				if len(buf) > 0 {
 					select {
-					case blocks <- prefetchBlock{part: p, seq: seq, series: buf}:
+					case blocks <- extractedBlock{part: p, seq: seq, series: buf}:
 						seq++
 					case <-stop:
 						return
@@ -194,7 +200,7 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 				default:
 				}
 				t0 := time.Now()
-				cb, err := computeBlockSerial(blk, temp, spec, &tims[w], cn)
+				cb, err := computeKernels(blk, temp, spec, &tims[w], cn)
 				computeBusy[w] += time.Since(t0)
 				if err != nil {
 					fail(err)
@@ -254,23 +260,24 @@ func runPrefetch(ctx context.Context, curs []core.Cursor, temp *timeseries.Tempe
 			}
 		}
 	}
-	// Partition-major concatenation is already ascending for engines with
-	// ID-contiguous shards (file, row, column stores); the cluster
-	// engines hand out hash partitions whose ID ranges interleave, so the
-	// reorder keyed by household ID restores the reference order for
-	// everyone. IsSorted keeps the common case a single cheap pass.
+	// Cursor-major concatenation is already ascending for a single cursor
+	// and for engines with ID-contiguous shards (file, row, column
+	// stores); the cluster engines hand out hash partitions whose ID
+	// ranges interleave, so the reorder keyed by household ID restores
+	// the reference order for everyone. IsSorted keeps the common case a
+	// single cheap pass.
 	sortResultsByID(out)
 	ph.Emit.Wall += time.Since(start)
 	ph.Emit.Rows += int64(out.Count())
 	return nil
 }
 
-// computeBlockSerial runs the per-consumer kernel over one block on the
-// calling worker goroutine. Parallelism comes from multiple workers
-// holding different blocks, not from fan-out within a block. Kernel
-// errors and panics follow the fail policy: quarantined consumers leave
-// nil slots in the computed block.
-func computeBlockSerial(blk prefetchBlock, temp *timeseries.Temperature, spec core.Spec, tim *threeline.Timing, cn *contain) (computedBlock, error) {
+// computeKernels runs the per-consumer kernel over one block on the
+// calling worker goroutine; it is the pipeline's one task dispatch.
+// Parallelism comes from multiple workers holding different blocks, not
+// from fan-out within a block. Kernel errors and panics follow the fail
+// policy: quarantined consumers leave nil slots in the computed block.
+func computeKernels(blk extractedBlock, temp *timeseries.Temperature, spec core.Spec, tim *threeline.Timing, cn *contain) (computedBlock, error) {
 	cb := computedBlock{part: blk.part, seq: blk.seq}
 	switch spec.Task {
 	case core.TaskHistogram:
@@ -316,8 +323,26 @@ func computeBlockSerial(blk prefetchBlock, temp *timeseries.Temperature, spec co
 	return cb, nil
 }
 
+// maxBlock caps the series in one block: enough to amortize the
+// hand-off to a worker, few enough that a streaming cursor (the
+// partitioned file engine, the row store) holds only a bounded number
+// of decoded series at a time.
+const maxBlock = 16
+
+// blockFor sizes a cursor's next block: the series it has left (its
+// size hint less the taken ones) split over the workers it feeds,
+// capped at maxBlock. A cursor that cannot tell its size gets maxBlock.
+func blockFor(cur core.Cursor, taken, workers int) int {
+	if h, ok := cur.(core.SizeHinter); ok {
+		if n, hOK := h.SizeHint(); hOK {
+			return min(maxBlock, max(1, (n-taken+workers-1)/workers))
+		}
+	}
+	return maxBlock
+}
+
 // sortResultsByID restores ascending household-ID order — the order the
-// Cursor contract fixes for serial extraction and core.RunReference
+// Cursor contract fixes within each cursor and core.RunReference
 // produces.
 func sortResultsByID(out *core.Results) {
 	switch out.Task {

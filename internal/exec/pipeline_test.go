@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
@@ -18,7 +20,7 @@ import (
 type partitionedSource struct {
 	ds          *timeseries.Dataset
 	roundRobin  bool
-	cursorCalls *int // increments on NewCursor (serial path probe)
+	cursorCalls *int // increments on NewCursor (single-cursor probe)
 	partCalls   *int // increments on NewCursors
 	maxParts    int  // cap on partitions handed out (0 = no cap)
 }
@@ -97,33 +99,10 @@ func TestPrefetchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPrefetchOffPinsSerial checks the escape hatch: with PrefetchOff
-// the pipeline must not even ask for partitions.
-func TestPrefetchOffPinsSerial(t *testing.T) {
-	ds := makeDataset(t, 6, 20)
-	var cursorCalls, partCalls int
-	src := partitionedSource{ds: ds, cursorCalls: &cursorCalls, partCalls: &partCalls}
-	spec := core.Spec{Task: core.TaskThreeLine, Workers: 4, Prefetch: core.PrefetchOff}
-	got, err := Run(src, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if partCalls != 0 {
-		t.Errorf("NewCursors called %d times under PrefetchOff, want 0", partCalls)
-	}
-	if cursorCalls != 1 {
-		t.Errorf("NewCursor called %d times, want 1", cursorCalls)
-	}
-	want, err := core.RunReference(ds, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, got, want)
-}
-
-// TestPrefetchSerialFallbacks covers the paths that must not take the
-// overlapped pipeline: one worker, a single-partition answer, and the
-// similarity task.
+// TestPrefetchSerialFallbacks covers cursor selection where partitions
+// must not be asked for or must be used as returned: one worker drains
+// the single NewCursor, a single-partition answer is drained as is, and
+// the similarity task materializes NewCursor.
 func TestPrefetchSerialFallbacks(t *testing.T) {
 	ds := makeDataset(t, 6, 20)
 
@@ -257,6 +236,57 @@ func TestPrefetchErrorPropagates(t *testing.T) {
 		_, err := Run(src, core.Spec{Task: core.TaskHistogram, Workers: 4})
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("failAt=%d: err = %v, want errBoom", failAt, err)
+		}
+	}
+}
+
+// TestRunConcurrentCallers runs several pipelines at once over one shared
+// source, the shape a serving layer would produce: the dataset must be
+// read-only to every decode goroutine and worker (`go test -race`
+// checks), and each caller's results must equal the reference.
+func TestRunConcurrentCallers(t *testing.T) {
+	ds := makeDataset(t, 24, 21)
+	src := NewDatasetSource(ds)
+	for _, task := range streamingTasks {
+		want, err := core.RunReference(ds, core.Spec{Task: task})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		got := make([]*core.Results, 4)
+		errs := make([]error, 4)
+		for c := range got {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				got[c], errs[c] = Run(src, core.Spec{Task: task, Workers: 8})
+			}(c)
+		}
+		wg.Wait()
+		for c := range got {
+			if errs[c] != nil {
+				t.Fatalf("%v caller %d: %v", task, c, errs[c])
+			}
+			got[c].Phases = nil // the reference carries no instrumentation
+			if !reflect.DeepEqual(got[c], want) {
+				t.Errorf("%v caller %d: results differ from reference", task, c)
+			}
+		}
+	}
+}
+
+// TestRunKernelErrorAborts checks that under FailFast a kernel error in
+// one consumer aborts the run on both the one-cursor and the partitioned
+// pipeline.
+func TestRunKernelErrorAborts(t *testing.T) {
+	ds := makeDataset(t, 8, 10)
+	ds.Series[5] = &timeseries.Series{ID: 99} // empty: the histogram kernel errors
+	for name, src := range map[string]Source{
+		"one_cursor":  NewDatasetSource(ds),
+		"partitioned": partitionedSource{ds: ds},
+	} {
+		if _, err := Run(src, core.Spec{Task: core.TaskHistogram, Workers: 4}); err == nil {
+			t.Errorf("%s: run over an empty series succeeded, want the kernel error", name)
 		}
 	}
 }

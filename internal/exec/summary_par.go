@@ -47,7 +47,7 @@ func summaryPARApplies(src Source, spec core.Spec) (core.SummarySource, bool) {
 }
 
 // runPARSummaries drives the ordinary streaming pipeline from a
-// summary-assembly cursor instead of the engine's row cursor.
+// summary-assembly cursor instead of the engine's row cursors.
 func runPARSummaries(ctx context.Context, ss core.SummarySource, temp *timeseries.Temperature, spec core.Spec, workers int, out *core.Results, cn *contain) error {
 	ph := out.Phases
 	start := time.Now()
@@ -57,16 +57,16 @@ func runPARSummaries(ctx context.Context, ss core.SummarySource, temp *timeserie
 		return err
 	}
 	cur := &summaryAssemblyCursor{sc: sc, ph: ph}
-	defer func() { _ = cur.Close() }()
-	core.BindContext(cur, ctx)
-	return runStreaming(ctx, cur, temp, spec, workers, out, cn)
+	return runStreaming(ctx, []core.Cursor{cur}, temp, spec, workers, out, cn)
 }
 
 // summaryAssemblyCursor adapts a SummaryCursor to core.Cursor by
 // reconstructing each consumer's full series from block summaries,
 // decoding only the blocks the headers cannot reproduce. Every Next
-// returns a fresh row buffer: the streaming pipeline holds a block of
-// series across the compute fan-out.
+// returns a fresh row buffer: the streaming pipeline keeps a block of
+// series alive until a worker has computed it. Next runs on the pipeline's decode
+// goroutine, the only writer of the block counters in ph; RunContext
+// reads them after the pipeline joins.
 type summaryAssemblyCursor struct {
 	sc     core.SummaryCursor
 	ph     *core.Phases

@@ -1,5 +1,5 @@
-// Package sched provides the dynamic block scheduler shared by the
-// repository's parallel kernels (similarity search, core.RunParallel).
+// Package sched provides the dynamic block scheduler of the
+// repository's parallel similarity kernels (all-pairs cosine and DTW).
 //
 // Instead of handing each worker one static contiguous range up front —
 // which strands a straggler with an oversized slice whenever n is not a

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench.sh runs the repo's two A/B benchmark pairs and distills each
+# bench.sh runs the repo's go-test benchmark groups and distills each
 # into a JSON artifact CI can upload, so regressions show up as a
 # number, not a feeling:
 #
@@ -7,26 +7,14 @@
 #      (the §5.3.4 stress test at n=64 consumers) -> BENCH_similarity.json
 #      with mean ns/op, B/op, allocs/op per variant plus the
 #      blocked-over-naive speedup.
-#   2. BenchmarkPipelineThreeLine / BenchmarkLegacyThreeLine (the
-#      cursor execution layer vs the direct core.RunParallel baseline)
-#      -> BENCH_pipeline.json with mean ns/op per variant plus the
-#      pipeline-over-legacy overhead ratio.
-#   3. BenchmarkExtract{Filestore,Rowstore}{Serial,Prefetch} (cold
-#      3-line runs at 4 workers, 200 consumers, prefetcher pinned off
-#      vs live partitioned cursors) -> BENCH_extract.json with mean
-#      ns/op per variant plus the per-engine prefetch-over-serial
-#      speedup. The speedup scales with available cores: on a
-#      single-CPU host the overlapped path can only match the serial
-#      one (expect ~1.0), so read the JSON's "cpus" field alongside
-#      the ratio.
-#   4. BenchmarkFault{Baseline,QuarantineZero,QuarantineInjected}
+#   2. BenchmarkFault{Baseline,QuarantineZero,QuarantineInjected}
 #      (fail-fast with no fault wrapper vs the full containment
 #      machinery at a zero injection rate vs a 5% mixed rate)
 #      -> BENCH_fault.json with mean ns/op per variant plus the
 #      zero-rate-over-baseline overhead ratio. Containment that nobody
 #      triggers should be nearly free: the no-fault overhead target is
 #      <3% (ratio <= 1.03).
-#   5. BenchmarkScaleupPaged{ThreeLine,Histogram,PAR} (tasks over the
+#   3. BenchmarkScaleupPaged{ThreeLine,Histogram,PAR} (tasks over the
 #      compressed, paged column store under a quarter-of-raw memory
 #      budget) plus BenchmarkScaleupEncode{Serial,Parallel} (the
 #      segment-encode pool A/B) -> BENCH_scale.json. The "ci_run" and
@@ -41,7 +29,7 @@
 #      SCALE_ENCODERS, default nproc) to add a single-shot large run —
 #      e.g. SCALE_CONSUMERS=1000000 streams a 1M-consumer x 365-day
 #      year through the same paged path and records it as "large_run".
-#   6. BenchmarkIngest{Colstore,Rowstore}[WAL{Batch,Always}] (4 sharded
+#   4. BenchmarkIngest{Colstore,Rowstore}[WAL{Batch,Always}] (4 sharded
 #      writers appending 3 live days onto the loaded base through the
 #      core.Appender contract, swept over wal=off/batch/always)
 #      -> BENCH_ingest.json with sustained append records/s and the
@@ -51,7 +39,7 @@
 #      so the ratio is bounded below by the host's fsync latency times
 #      the hour-batch count — read it against "fsync_ns" in the JSON,
 #      not against an in-memory ideal.
-#   7. BenchmarkRecovery{Colstore,Rowstore} (kill the engine with the
+#   5. BenchmarkRecovery{Colstore,Rowstore} (kill the engine with the
 #      live tail only in the wal=batch log, then time reopen + replay +
 #      first verified histogram) -> BENCH_recovery.json with
 #      crash-to-first-answer ns/op and replay records/s per engine.
@@ -61,8 +49,6 @@
 #
 #   COUNT=6 ./scripts/bench.sh        # repetitions (default 6)
 #   OUT=BENCH_similarity.json         # similarity output path override
-#   PIPE_OUT=BENCH_pipeline.json      # pipeline output path override
-#   EXTRACT_OUT=BENCH_extract.json    # extraction output path override
 #   FAULT_OUT=BENCH_fault.json        # fault output path override
 #   SCALE_OUT=BENCH_scale.json        # scale-up output path override
 #   SCALE_CONSUMERS=1000000           # add a paper-scale single-shot run
@@ -75,8 +61,6 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-6}"
 OUT="${OUT:-BENCH_similarity.json}"
-PIPE_OUT="${PIPE_OUT:-BENCH_pipeline.json}"
-EXTRACT_OUT="${EXTRACT_OUT:-BENCH_extract.json}"
 FAULT_OUT="${FAULT_OUT:-BENCH_fault.json}"
 SCALE_OUT="${SCALE_OUT:-BENCH_scale.json}"
 INGEST_OUT="${INGEST_OUT:-BENCH_ingest.json}"
@@ -117,76 +101,6 @@ awk -v out="$OUT" '
 
 echo "== wrote $OUT"
 cat "$OUT"
-
-echo "== go test -bench 'Benchmark(Pipeline|Legacy)ThreeLine' -count $COUNT"
-go test -run '^$' -bench 'Benchmark(Pipeline|Legacy)ThreeLine$' \
-  -count "$COUNT" -timeout 20m . | tee "$RAW"
-
-awk -v out="$PIPE_OUT" '
-  /^Benchmark(Pipeline|Legacy)ThreeLine/ {
-    name = $1
-    sub(/^Benchmark/, "", name)
-    sub(/ThreeLine-[0-9]+$/, "", name)
-    sub(/ThreeLine$/, "", name)
-    ns[name] += $3; runs[name]++
-  }
-  END {
-    if (runs["Pipeline"] == 0 || runs["Legacy"] == 0) {
-      print "bench.sh: missing Pipeline or Legacy benchmark output" > "/dev/stderr"
-      exit 1
-    }
-    pn = ns["Pipeline"] / runs["Pipeline"]
-    ln = ns["Legacy"] / runs["Legacy"]
-    printf "{\n" > out
-    printf "  \"benchmark\": \"BenchmarkThreeLinePipelineVsLegacy\",\n" >> out
-    printf "  \"count\": %d,\n", runs["Pipeline"] >> out
-    printf "  \"pipeline\": {\"ns_per_op\": %.1f},\n", pn >> out
-    printf "  \"legacy\": {\"ns_per_op\": %.1f},\n", ln >> out
-    printf "  \"overhead\": %.3f\n", pn / ln >> out
-    printf "}\n" >> out
-  }
-' "$RAW"
-
-echo "== wrote $PIPE_OUT"
-cat "$PIPE_OUT"
-
-echo "== go test -bench 'BenchmarkExtract(Filestore|Rowstore)(Serial|Prefetch)' -count $COUNT"
-go test -run '^$' -bench 'BenchmarkExtract(Filestore|Rowstore)(Serial|Prefetch)$' \
-  -count "$COUNT" -timeout 20m . | tee "$RAW"
-
-awk -v out="$EXTRACT_OUT" -v cpus="$(nproc 2>/dev/null || echo 1)" '
-  /^BenchmarkExtract(Filestore|Rowstore)(Serial|Prefetch)/ {
-    name = $1
-    sub(/^BenchmarkExtract/, "", name)
-    sub(/-[0-9]+$/, "", name)
-    ns[name] += $3; runs[name]++
-  }
-  END {
-    if (runs["FilestoreSerial"] == 0 || runs["FilestorePrefetch"] == 0 ||
-        runs["RowstoreSerial"] == 0 || runs["RowstorePrefetch"] == 0) {
-      print "bench.sh: missing extract benchmark output" > "/dev/stderr"
-      exit 1
-    }
-    fs = ns["FilestoreSerial"] / runs["FilestoreSerial"]
-    fp = ns["FilestorePrefetch"] / runs["FilestorePrefetch"]
-    rs = ns["RowstoreSerial"] / runs["RowstoreSerial"]
-    rp = ns["RowstorePrefetch"] / runs["RowstorePrefetch"]
-    printf "{\n" > out
-    printf "  \"benchmark\": \"BenchmarkExtractSerialVsPrefetch\",\n" >> out
-    printf "  \"consumers\": 200,\n" >> out
-    printf "  \"workers\": 4,\n" >> out
-    printf "  \"cpus\": %d,\n", cpus >> out
-    printf "  \"count\": %d,\n", runs["FilestoreSerial"] >> out
-    printf "  \"filestore\": {\"serial_ns_per_op\": %.1f, \"prefetch_ns_per_op\": %.1f, \"speedup\": %.2f},\n", \
-      fs, fp, fs / fp >> out
-    printf "  \"rowstore\": {\"serial_ns_per_op\": %.1f, \"prefetch_ns_per_op\": %.1f, \"speedup\": %.2f}\n", \
-      rs, rp, rs / rp >> out
-    printf "}\n" >> out
-  }
-' "$RAW"
-
-echo "== wrote $EXTRACT_OUT"
-cat "$EXTRACT_OUT"
 
 echo "== go test -bench 'BenchmarkFault(Baseline|QuarantineZero|QuarantineInjected)' -count $COUNT"
 go test -run '^$' -bench 'BenchmarkFault(Baseline|QuarantineZero|QuarantineInjected)$' \
