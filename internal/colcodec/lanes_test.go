@@ -99,7 +99,7 @@ func TestSummarizeHoursFlags(t *testing.T) {
 		t.Fatal("-0/+0 mix must not report Constant")
 	}
 
-	periodic := make([]float64, 24 * 5)
+	periodic := make([]float64, 24*5)
 	for i := range periodic {
 		periodic[i] = float64(i%24) + 0.25
 	}

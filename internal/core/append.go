@@ -10,6 +10,12 @@ import "github.com/smartmeter/smartbench/internal/timeseries"
 // fed from the same committed batches (see exec.Ingestor), so storage,
 // alerts and analytics all observe one ordered sequence of writes.
 //
+// Append is the engines' one write path. The paper's §3 update
+// workload, adding a day's worth of new points to every series, is
+// one Append batch holding every household's new hours followed by the
+// engine's Checkpoint, which publishes the common prefix of every
+// household to Run.
+//
 // Ordering contract. Within one household, readings must arrive in
 // hour order with no gaps: the first reading for a household carries
 // the hour right after its stored prefix (0 for a new household), and
@@ -34,6 +40,25 @@ type Reading struct {
 	Hour        int
 	Consumption float64
 	Temperature float64
+}
+
+// DeltaBatch turns a delta dataset into one Append batch continuing
+// every stored series at hour base: each household's new hours in
+// turn, so an engine that coalesces runs writes each household's delta
+// as one run.
+func DeltaBatch(delta *timeseries.Dataset, base int) []Reading {
+	batch := make([]Reading, 0, len(delta.Series)*len(delta.Temperature.Values))
+	for _, s := range delta.Series {
+		for h, v := range s.Readings {
+			batch = append(batch, Reading{
+				ID:          s.ID,
+				Hour:        base + h,
+				Consumption: v,
+				Temperature: delta.Temperature.Values[h],
+			})
+		}
+	}
+	return batch
 }
 
 // Epoch identifies a snapshot's position in an engine's append

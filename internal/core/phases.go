@@ -10,7 +10,11 @@ type PhaseStat struct {
 	// of the stage's decode or compute goroutines, gathered after the
 	// joins. Busy sums stay truthful under overlap — the stages run
 	// concurrently, so their summed busy time can (and should) exceed
-	// the Run's elapsed time.
+	// the Run's elapsed time. A goroutine's busy time is measured on
+	// the wall clock, so it also counts time spent runnable but waiting
+	// for a CPU: when Workers exceeds GOMAXPROCS the sum overstates
+	// the work. Hive UDAF 3-line at 64 workers on 2 vCPU reports 0.95 s
+	// of compute busy time against about 0.21 s elapsed.
 	Wall time.Duration
 	// Rows is the number of consumer series the stage handled.
 	Rows int64

@@ -17,10 +17,10 @@ type BlockStats struct {
 	// NaNs is the number of NaN readings in the block. Compressed-domain
 	// fast paths must decode any block with NaNs > 0 (or fall back
 	// entirely) to preserve NaN-propagation semantics.
-	NaNs int
-	Min  float64
-	Max  float64
-	Sum  float64
+	NaNs  int
+	Min   float64
+	Max   float64
+	Sum   float64
 	SumSq float64
 	// Flags carries the block-structure facts recorded at encode time.
 	Flags BlockFlags

@@ -486,84 +486,6 @@ func decodeAll(st *segStore) (*timeseries.Dataset, error) {
 	return &timeseries.Dataset{Series: series, Temperature: temp}, nil
 }
 
-// AppendDelta implements core.DeltaAppender. The read-optimized
-// segment file has no room to grow, so an append re-encodes every
-// consumer — decode, extend, stream to a fresh file — deliberately
-// expensive, illustrating the paper's §3 remark that read-optimized
-// structures "may be expensive to update". The rewrite streams one
-// consumer at a time, so paged engines append without materializing
-// the matrix. It refuses to run while an uncheckpointed live tail
-// exists (see Append): the rewrite would collide with tail hours.
-func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
-	if err := e.ensureStorage(); err != nil {
-		return err
-	}
-	if e.liveHours() > 0 {
-		return fmt.Errorf("colstore: live tail present; Checkpoint before AppendDelta")
-	}
-	st := e.store
-	if len(delta.Series) != st.consumers {
-		return fmt.Errorf("colstore: delta has %d households, segments have %d",
-			len(delta.Series), st.consumers)
-	}
-	byID := make(map[timeseries.ID]*timeseries.Series, len(delta.Series))
-	for _, s := range delta.Series {
-		byID[s.ID] = s
-	}
-	dn := len(delta.Temperature.Values)
-	newTemp := make([]float64, 0, st.n+dn)
-	newTemp = append(newTemp, st.temp...)
-	newTemp = append(newTemp, delta.Temperature.Values...)
-	tmp := e.path + ".tmp"
-	w, err := NewSegmentWriter(tmp, newTemp, WithBlockRows(st.blockRows))
-	if err != nil {
-		return err
-	}
-	row := make([]float64, st.n+dn)
-	var scratch []byte
-	for c := 0; c < st.consumers; c++ {
-		id := st.ids[c]
-		d, ok := byID[id]
-		if !ok {
-			_ = w.Close()
-			_ = os.Remove(tmp)
-			return fmt.Errorf("colstore: delta is missing household %d", id)
-		}
-		if len(d.Readings) != dn {
-			_ = w.Close()
-			_ = os.Remove(tmp)
-			return fmt.Errorf("colstore: delta household %d has %d readings, temperature has %d",
-				id, len(d.Readings), dn)
-		}
-		scratch, err = st.decodeConsumerInto(c, row[:st.n], scratch)
-		if err != nil {
-			_ = w.Close()
-			_ = os.Remove(tmp)
-			return err
-		}
-		copy(row[st.n:], d.Readings)
-		if err := w.Append(id, row); err != nil {
-			_ = w.Close()
-			_ = os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, e.path); err != nil {
-		return fmt.Errorf("colstore: rewrite segments: %w", err)
-	}
-	if err := wal.SyncDir(e.dir); err != nil {
-		return fmt.Errorf("colstore: sync dir: %w", err)
-	}
-	e.detach()
-	return e.attach()
-}
-
-var _ core.DeltaAppender = (*Engine)(nil)
-
 // StartCheckpointer runs background checkpointing until ctx is
 // cancelled: whenever the live tail crosses the WithTailBudget
 // threshold, the tail is folded into a fresh segment file and the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -245,9 +246,14 @@ func TestRemapMissingFile(t *testing.T) {
 	}
 }
 
+// TestAppendRewritesSegments: the update workload — one Append batch
+// with every household's new day, then Checkpoint — rewrites the
+// segment file, so Run sees the day at once, after a cold remap and
+// from a second engine over the same directory, bit-exact.
 func TestAppendRewritesSegments(t *testing.T) {
 	src, ds := writeSource(t, 3, 10)
-	e := New(t.TempDir())
+	dir := t.TempDir()
+	e := New(dir)
 	if _, err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
@@ -255,53 +261,93 @@ func TestAppendRewritesSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AppendDelta(delta); err != nil {
-		t.Fatal(err)
-	}
-	// New data visible immediately and after a cold remap.
-	res, err := e.Run(core.Spec{Task: core.TaskHistogram})
+	before, err := e.StorageBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(11 * 24)
-	for _, h := range res.Histograms {
-		if h.Histogram.Total() != want {
-			t.Fatalf("consumer %d total = %d, want %d", h.ID, h.Histogram.Total(), want)
+	base := 10 * 24
+	if err := e.Append(core.DeltaBatch(delta, base)); err != nil {
+		t.Fatal(err)
+	}
+	// Appended but not checkpointed: the base view is unchanged.
+	for id, n := range cursortest.HistogramTotals(t, e) {
+		if n != int64(base) {
+			t.Fatalf("consumer %d total = %d before Checkpoint, want %d", id, n, base)
 		}
 	}
-	e.Release()
-	res, err = e.Run(core.Spec{Task: core.TaskHistogram})
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.StorageBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Histograms[0].Histogram.Total() != want {
-		t.Error("append lost after remap")
+	if after <= before {
+		t.Errorf("segment file %d bytes after the rewrite, %d before", after, before)
 	}
-	_ = ds
+	want := int64(base + 24)
+	for _, eng := range []*Engine{e, New(dir)} {
+		for pass := 0; pass < 2; pass++ {
+			got := cursortest.HistogramTotals(t, eng)
+			if len(got) != len(ds.Series) {
+				t.Fatalf("pass %d: %d consumers, want %d", pass, len(got), len(ds.Series))
+			}
+			for id, n := range got {
+				if n != want {
+					t.Fatalf("pass %d: consumer %d total = %d, want %d", pass, id, n, want)
+				}
+			}
+			eng.Release()
+		}
+	}
+	// The new day round-trips exactly.
+	if err := e.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := e.NewCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	for i := range delta.Series {
+		s, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h, v := range delta.Series[i].Readings {
+			if s.Readings[base+h] != v {
+				t.Fatalf("consumer %d hour %d: %v, want %v", s.ID, base+h, s.Readings[base+h], v)
+			}
+		}
+	}
 }
 
+// TestAppendValidation: a day batch with a gap is refused whole, so
+// the following Checkpoint folds nothing and Run keeps the base.
 func TestAppendValidation(t *testing.T) {
 	e := New(t.TempDir())
-	if err := e.AppendDelta(&timeseries.Dataset{}); err == nil || !errors.Is(err, core.ErrNotLoaded) {
-		t.Errorf("append before load: %v", err)
+	if err := e.Checkpoint(); err == nil {
+		t.Error("checkpoint with nothing stored: want error")
 	}
 	src, _ := writeSource(t, 2, 5)
 	if _, err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
-	wrong, err := seed.Generate(seed.Config{Consumers: 3, Days: 1, Seed: 1})
+	delta, err := seed.Generate(seed.Config{Consumers: 2, Days: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AppendDelta(wrong); err == nil {
-		t.Error("wrong household count: want error")
+	batch := core.DeltaBatch(delta, 5*24)
+	batch = append(batch[:30], batch[31:]...) // household 2 skips an hour
+	if err := e.Append(batch); err == nil {
+		t.Fatal("day batch with a gap: want error")
 	}
-	// Missing household IDs (right count, wrong IDs).
-	bad, err := seed.Generate(seed.Config{Consumers: 2, Days: 1, Seed: 1, FirstID: 500})
-	if err != nil {
+	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AppendDelta(bad); err == nil {
-		t.Error("unknown households: want error")
+	for id, n := range cursortest.HistogramTotals(t, e) {
+		if n != 5*24 {
+			t.Errorf("consumer %d total = %d after a refused batch, want %d", id, n, 5*24)
+		}
 	}
 }

@@ -23,7 +23,11 @@ import (
 // completed day into a compressed colcodec block — the same encoding
 // SegmentWriter uses — so resident cost stays near the on-disk ratio.
 // Checkpoint folds base + tails into a fresh segment file through
-// SegmentWriter, making the tail durable.
+// SegmentWriter, making the tail durable and visible to Run. Append is
+// the engine's one write path: the paper's §3 update workload is one
+// Append batch holding every household's new day, then Checkpoint —
+// which rewrites the whole segment image, the read-optimized
+// structure's update cost the paper anticipates.
 //
 // Isolation. Writers share ingestMu.RLock (their mutual exclusion is
 // the per-shard locks); Snapshot takes ingestMu exclusively, so it
@@ -88,7 +92,7 @@ type liveTail struct {
 	// Snapshot: batch atomicity with respect to snapshots.
 	ingestMu sync.RWMutex
 	epoch    atomic.Uint64
-	applied  atomic.Int64 // total tail readings committed (AppendDelta guard)
+	applied  atomic.Int64 // tail readings resident (the checkpoint trigger)
 
 	baseN   int                   // base series length (0 without a base)
 	baseIDs map[timeseries.ID]int // base household -> consumer index
@@ -157,16 +161,6 @@ func (e *Engine) ensureLive() (*liveTail, error) {
 	}
 	e.live = lt
 	return lt, nil
-}
-
-// liveHours reports the number of tail readings currently resident.
-func (e *Engine) liveHours() int64 {
-	e.liveMu.Lock()
-	defer e.liveMu.Unlock()
-	if e.live == nil {
-		return 0
-	}
-	return e.live.applied.Load()
 }
 
 // Append implements core.Appender. It is safe for concurrent use with

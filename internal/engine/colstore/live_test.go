@@ -151,15 +151,15 @@ func TestLiveDuplicateAndGap(t *testing.T) {
 	if err := e.Append(day); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.liveHours(); got != 48 {
-		t.Fatalf("liveHours = %d, want 48", got)
+	if got := e.live.applied.Load(); got != 48 {
+		t.Fatalf("tail holds %d readings, want 48", got)
 	}
 	// Redelivering the whole batch is an idempotent no-op.
 	if err := e.Append(day); err != nil {
 		t.Fatalf("redelivery: %v", err)
 	}
-	if got := e.liveHours(); got != 48 {
-		t.Fatalf("liveHours after redelivery = %d, want 48", got)
+	if got := e.live.applied.Load(); got != 48 {
+		t.Fatalf("tail holds %d readings after redelivery, want 48", got)
 	}
 	// Skipping an hour is a gap.
 	gap := []core.Reading{{ID: 4, Hour: 25, Consumption: 1, Temperature: liveTemp(24)}}
@@ -200,10 +200,6 @@ func TestLiveAppendOnBaseAndCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The bulk path must refuse to silently drop the tail.
-	if err := e.AppendDelta(&timeseries.Dataset{}); err == nil || !strings.Contains(err.Error(), "live tail") {
-		t.Errorf("AppendDelta with live tail: err = %v", err)
-	}
 	cur, _, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +227,8 @@ func TestLiveAppendOnBaseAndCheckpoint(t *testing.T) {
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.liveHours(); got != 0 {
-		t.Errorf("liveHours after checkpoint = %d", got)
+	if got := e.live.applied.Load(); got != 0 {
+		t.Errorf("tail readings after checkpoint = %d", got)
 	}
 	cur2, ep2, err := e.Snapshot()
 	if err != nil {

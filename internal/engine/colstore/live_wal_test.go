@@ -188,8 +188,8 @@ func TestCheckpointCrashLeavesOldWALSegmentReadable(t *testing.T) {
 	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := re.liveHours(); got != 0 {
-		t.Errorf("liveHours after checkpoint = %d, want 0", got)
+	if got := re.live.applied.Load(); got != 0 {
+		t.Errorf("tail readings after checkpoint = %d, want 0", got)
 	}
 	cur3, _, err := re.Snapshot()
 	if err != nil {
@@ -223,8 +223,8 @@ func TestWALCheckpointRemainder(t *testing.T) {
 	if e.store == nil || e.store.n != common {
 		t.Fatalf("checkpoint cut: store covers %v hours, want %d", e.store, common)
 	}
-	if got := e.liveHours(); got != lead {
-		t.Errorf("liveHours after checkpoint = %d, want %d", got, lead)
+	if got := e.live.applied.Load(); got != lead {
+		t.Errorf("tail readings after checkpoint = %d, want %d", got, lead)
 	}
 	e.Crash()
 
@@ -296,10 +296,10 @@ func TestWALBackgroundCheckpointTrigger(t *testing.T) {
 	// The fold is asynchronous; wait for the tail to shrink below the
 	// budget (the checkpointer owns no other signal a test can join on).
 	deadline := time.After(5 * time.Second)
-	for e.liveHours() >= budget {
+	for e.live.applied.Load() >= budget {
 		select {
 		case <-deadline:
-			t.Fatalf("background checkpoint never fired: liveHours = %d", e.liveHours())
+			t.Fatalf("background checkpoint never fired: tail readings = %d", e.live.applied.Load())
 		default:
 			time.Sleep(5 * time.Millisecond)
 		}

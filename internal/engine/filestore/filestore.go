@@ -267,9 +267,11 @@ func (e *Engine) CleanSplitDir() error {
 
 var _ core.Engine = (*Engine)(nil)
 
-// AppendDelta implements core.DeltaAppender by extending the underlying
-// CSV files (cheap row appends for reading-per-line files, a rewrite for
-// series-per-line files).
+// AppendDelta extends every stored household with the delta dataset's
+// readings — the paper's §3 update workload — by extending the
+// underlying CSV files (cheap row appends for reading-per-line files, a
+// rewrite for series-per-line files). The delta must cover exactly the
+// stored households and carry the matching new temperature values.
 func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	if e.src == nil {
 		return fmt.Errorf("filestore: %w", core.ErrNotLoaded)
@@ -284,8 +286,6 @@ func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
 	e.cache = nil
 	return nil
 }
-
-var _ core.DeltaAppender = (*Engine)(nil)
 
 // Source returns the engine's current data source (nil before Load).
 func (e *Engine) Source() *meterdata.Source { return e.src }

@@ -9,15 +9,24 @@ import (
 )
 
 // scanCursor extracts one consumer per Next with an index scan through
-// the buffer pool — the engine's native cold path. The buffer pool is
-// not thread-safe (one database connection in the paper), so every
-// tuple read goes through readSeriesShared's engine-level lock; with a
-// single cursor the lock is uncontended and extraction is effectively
-// serial, while partition cursors (rangeCursor) interleave their index
-// scans through the same pool the way concurrent connections share
-// shared_buffers.
+// the buffer pool — the engine's native cold path. It covers a
+// contiguous run of the sorted household list: all of it for
+// NewCursor, one partition for NewCursors. Tuples are bulk-loaded in
+// ascending household order, so a contiguous ID range is a contiguous
+// heap-page range, and partition cursors mostly touch disjoint pages.
+// The buffer pool is not thread-safe (one database connection in the
+// paper), so every tuple read goes through readSeriesShared's
+// engine-level lock; with a single cursor the lock is uncontended and
+// extraction is effectively serial, while partition cursors interleave
+// their index scans through the same pool the way concurrent
+// connections share shared_buffers.
+//
+// ids and n are the household list and series length published when
+// the cursor opened; the cursor reads exactly that prefix to the end.
 type scanCursor struct {
 	e      *Engine
+	ids    []timeseries.ID
+	n      int
 	ctx    context.Context
 	i      int
 	closed bool
@@ -29,10 +38,10 @@ func (c *scanCursor) Next() (*timeseries.Series, error) {
 	if err := core.CtxErr(c.ctx); err != nil {
 		return nil, err
 	}
-	if c.closed || c.i >= len(c.e.ids) {
+	if c.closed || c.i >= len(c.ids) {
 		return nil, io.EOF
 	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.i])
+	s, err := c.e.readSeriesShared(c.ids[c.i], c.n)
 	if err != nil {
 		return nil, err
 	}
@@ -52,47 +61,4 @@ func (c *scanCursor) Close() error {
 }
 
 // SizeHint is exact: the B+tree knows every household.
-func (c *scanCursor) SizeHint() (int, bool) { return len(c.e.ids), true }
-
-// rangeCursor is one partition of the heap: the households whose rank in
-// the sorted ID list falls into [lo, hi). Tuples are bulk-loaded in
-// ascending household order, so a contiguous ID range is a contiguous
-// heap-page range — partition cursors mostly touch disjoint pages and
-// contend only on the shared buffer pool latch.
-type rangeCursor struct {
-	e      *Engine
-	ctx    context.Context
-	lo, hi int
-	i      int
-	closed bool
-}
-
-func (c *rangeCursor) BindContext(ctx context.Context) { c.ctx = ctx }
-
-func (c *rangeCursor) Next() (*timeseries.Series, error) {
-	if err := core.CtxErr(c.ctx); err != nil {
-		return nil, err
-	}
-	if c.closed || c.lo+c.i >= c.hi {
-		return nil, io.EOF
-	}
-	s, err := c.e.readSeriesShared(c.e.ids[c.lo+c.i])
-	if err != nil {
-		return nil, err
-	}
-	c.i++
-	return s, nil
-}
-
-func (c *rangeCursor) Reset() error {
-	c.i = 0
-	c.closed = false
-	return nil
-}
-
-func (c *rangeCursor) Close() error {
-	c.closed = true
-	return nil
-}
-
-func (c *rangeCursor) SizeHint() (int, bool) { return c.hi - c.lo, true }
+func (c *scanCursor) SizeHint() (int, bool) { return len(c.ids), true }

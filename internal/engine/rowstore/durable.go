@@ -7,28 +7,39 @@ import (
 	"path/filepath"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/timeseries"
 	"github.com/smartmeter/smartbench/internal/wal"
 )
 
-// Crash-safe ingestion for the row store. The engine pairs a no-steal
-// buffer pool with a write-ahead log (internal/wal): the
-// table file on disk only ever holds the last checkpoint, every acked
-// Append is framed into the log first, and recovery is "open the
-// checkpointed file, replay the log through the idempotent append
-// path". A checkpoint is a copy-on-write rewrite — stream every page
-// (dirty frames from the pool, the rest from the file) into a temp
-// file, fsync, rename over the table, fsync the directory, then
-// truncate the log — so a crash at any point leaves either the old
-// file with its full log or the new file with an empty one, never a
-// torn mix.
+// Checkpoints for the row store. A Checkpoint publishes the common
+// prefix of every household as the new base view and makes the table
+// file hold everything committed.
+//
+// With the write-ahead log (internal/wal) armed, the engine pairs it
+// with a no-steal buffer pool: the table file on disk only ever holds
+// the last checkpoint, every acked Append is framed into the log
+// first, and recovery is "open the checkpointed file, replay the log
+// through the idempotent append path". A checkpoint is then a
+// copy-on-write rewrite — stream every page (dirty frames from the
+// pool, the rest from the file) into a temp file, fsync, rename over
+// the table, fsync the directory, then truncate the log — so a crash
+// at any point leaves either the old file with its full log or the
+// new file with an empty one, never a torn mix.
+//
+// Without the log the pool writes dirty pages back in place (steal)
+// and every Append flushes, so a checkpoint works in place too: write
+// the meta page, flush the pool, fsync the table file. That keeps the
+// paper's update workload a tuples-only write rather than a rewrite of
+// the whole file.
 
 // walDir is where the engine's write-ahead log lives.
 func (e *Engine) walDir() string { return filepath.Join(e.dir, "wal") }
 
-// Checkpoint folds every page dirtied since the last checkpoint into
-// the table file with an atomic rewrite and truncates the write-ahead
-// log. Safe to call concurrently with Append/Snapshot: it serializes
-// on the engine's extraction latch.
+// Checkpoint publishes the common prefix of every household to Run
+// (see publish) and makes the table file hold everything committed:
+// with the write-ahead log armed, by an atomic rewrite that truncates
+// the log; without it, in place. Safe to call concurrently with
+// Append/Snapshot: it serializes on the engine's extraction latch.
 func (e *Engine) Checkpoint() error {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
@@ -36,28 +47,69 @@ func (e *Engine) Checkpoint() error {
 		return fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
 	// ensureLive replays any unreplayed log before we truncate it.
-	if _, err := e.ensureLive(); err != nil {
+	ls, err := e.ensureLive()
+	if err != nil {
 		return err
+	}
+	e.publish(ls)
+	if e.walOn {
+		return e.checkpointLocked()
+	}
+	e.ckptAppended = ls.appended
+	if err := writeMeta(e.bp, e.table.meta()); err != nil {
+		return err
+	}
+	if err := e.bp.flush(); err != nil {
+		return err
+	}
+	return e.pf.sync()
+}
+
+// publish advances the base view to the common prefix of every
+// household: the minimum committed length, as in colstore's fold cut.
+// Publishing sets the series length, the household list and the
+// consumer count; the meta page follows at the checkpoint's write. A
+// household shorter than the current base (one that joined late) pins
+// the cut, and nothing publishes; once it catches up to the base
+// length, it publishes even if the cut stays where it was. Cursors
+// opened before keep the list and length they captured. Callers hold
+// readMu.
+func (e *Engine) publish(ls *liveState) {
+	cut := -1
+	for _, id := range ls.ids {
+		if n := ls.lens[id]; cut < 0 || n < cut {
+			cut = n
+		}
+	}
+	tb := e.table
+	if cut < tb.seriesLen || (cut == tb.seriesLen && len(ls.ids) == len(e.base.ids)) {
+		return
+	}
+	tb.seriesLen = cut
+	tb.consumers = len(ls.ids)
+	// A copy: applyBatch inserts into ls.ids in place, and open cursors
+	// hold subslices of the old view's list.
+	e.base = &view{e: e, ids: append([]timeseries.ID(nil), ls.ids...), n: cut}
+}
+
+// foldLogLocked is the write-ahead log's checkpoint without
+// publishing: it folds the no-steal pool's dirty pages into the table
+// file and truncates the log, for Release and Close, under readMu.
+// Without an open log it does nothing.
+func (e *Engine) foldLogLocked() error {
+	if !e.walOn || e.wlog == nil {
+		return nil
 	}
 	return e.checkpointLocked()
 }
 
-// checkpointLocked is Checkpoint under readMu. The caller must have
-// replayed the write-ahead log (ensureLive) if one exists on disk.
+// checkpointLocked is the write-ahead log's copy-on-write checkpoint,
+// under readMu. The caller must have replayed the log (ensureLive) if
+// one exists on disk.
 func (e *Engine) checkpointLocked() error {
-	tb := e.table
-	// The meta page must describe the state being checkpointed; Append
-	// rewrites it per batch but replayed batches do not.
-	if err := writeMeta(e.bp, metaPage{
-		layout:    tb.layout,
-		heapFirst: tb.heap.first,
-		heapLast:  tb.heap.last,
-		tuples:    tb.heap.tuples,
-		root:      tb.index.root,
-		height:    tb.index.height,
-		seriesLen: tb.seriesLen,
-		consumers: tb.consumers,
-	}); err != nil {
+	// The meta page must describe the state being checkpointed: with
+	// the log armed, Append leaves it to the checkpoint.
+	if err := writeMeta(e.bp, e.table.meta()); err != nil {
 		return err
 	}
 	path := filepath.Join(e.dir, "table.db")
@@ -109,6 +161,7 @@ func (e *Engine) checkpointLocked() error {
 	for _, fr := range e.bp.frames {
 		fr.dirty = false
 	}
+	e.bp.trim()
 	if e.live != nil {
 		e.ckptAppended = e.live.appended
 	}
@@ -151,8 +204,7 @@ func (e *Engine) Crash() {
 		_ = e.pf.close()
 	}
 	e.pf, e.bp, e.table = nil, nil, nil
-	e.cache = nil
-	e.temp = nil
+	e.base = nil
 	e.live = nil
 	e.ckptAppended = 0
 }

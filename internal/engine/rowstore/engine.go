@@ -42,9 +42,9 @@ type Engine struct {
 	pf    *pagedFile
 	bp    *bufferPool
 	table *table
-	ids   []timeseries.ID
-	cache *timeseries.Dataset
-	temp  *timeseries.Temperature
+	// base is the published view Run reads; see view. Replaced, never
+	// changed in place, under readMu.
+	base *view
 
 	// readMu serializes tuple extraction: the buffer pool and B+tree are
 	// not thread-safe, so concurrent partition cursors take this lock
@@ -147,8 +147,9 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The pool steals while it builds: the new file is no checkpoint
+	// yet, and a no-steal pool would hold the whole table in memory.
 	bp := newBufferPool(pf, e.poolPages)
-	bp.noSteal = e.walOn
 	// Page 0 is reserved for the meta page.
 	metaFr, err := bp.allocate()
 	if err != nil {
@@ -184,27 +185,18 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 		}
 		readings += int64(len(s.Readings))
 	}
-	if err := writeMeta(bp, metaPage{
-		layout:    tb.layout,
-		heapFirst: heap.first,
-		heapLast:  heap.last,
-		tuples:    heap.tuples,
-		root:      idx.root,
-		height:    idx.height,
-		seriesLen: tb.seriesLen,
-		consumers: tb.consumers,
-	}); err != nil {
+	if err := writeMeta(bp, tb.meta()); err != nil {
+		_ = pf.close()
+		return nil, err
+	}
+	if err := bp.flush(); err != nil {
 		_ = pf.close()
 		return nil, err
 	}
 	if e.walOn {
-		// The fresh base is a durability point: everything on disk and
-		// fsynced, and any old log — which belonged to replaced state —
-		// cleared so it cannot replay into the new table.
-		if err := bp.flush(); err != nil {
-			_ = pf.close()
-			return nil, err
-		}
+		// The fresh base is a durability point: everything fsynced, and
+		// any old log — which belonged to replaced state — cleared so it
+		// cannot replay into the new table.
 		if err := pf.sync(); err != nil {
 			_ = pf.close()
 			return nil, err
@@ -213,14 +205,14 @@ func (e *Engine) Load(src *meterdata.Source) (*core.LoadStats, error) {
 			_ = pf.close()
 			return nil, fmt.Errorf("rowstore: %w", err)
 		}
+		bp.noSteal = true
+	}
+	ids := make([]timeseries.ID, 0, len(ds.Series))
+	for _, s := range ds.Series {
+		ids = append(ids, s.ID)
 	}
 	e.pf, e.bp, e.table = pf, bp, tb
-	e.ids = nil
-	for _, s := range ds.Series {
-		e.ids = append(e.ids, s.ID)
-	}
-	e.cache = nil
-	e.temp = ds.Temperature
+	e.base = &view{e: e, ids: ids, n: tb.seriesLen, temp: ds.Temperature}
 	return &core.LoadStats{
 		Consumers:    len(ds.Series),
 		Readings:     readings,
@@ -260,47 +252,66 @@ func (e *Engine) Open() error {
 		consumers: m.consumers,
 	}
 	ids, err := tb.distinctIDs()
+	if err == nil && len(ids) != m.consumers {
+		// Households appended after the last publishing Checkpoint are
+		// in the index too; the base view keeps only those holding the
+		// whole published prefix.
+		ids, err = tb.holdingPrefix(ids)
+		tb.consumers = len(ids)
+	}
 	if err != nil {
 		_ = pf.close()
 		return err
 	}
 	e.layout = m.layout
 	e.pf, e.bp, e.table = pf, bp, tb
-	e.ids = ids
-	e.cache = nil
-	e.temp = nil
+	e.base = &view{e: e, ids: ids, n: tb.seriesLen}
 	return nil
 }
 
 // Warm implements the benchmark's warm start: it extracts every series
-// from the stored pages into memory (the paper's "run SELECT queries to
-// extract the data we need").
+// of the published view from the stored pages into memory (the paper's
+// "run SELECT queries to extract the data we need"). It holds readMu
+// throughout, so no Checkpoint publishes mid-extraction.
 func (e *Engine) Warm() error {
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
 	if e.table == nil {
 		return fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
-	ds, err := e.materialize()
-	if err != nil {
-		return err
+	v := e.base
+	if len(v.ids) == 0 {
+		return fmt.Errorf("rowstore: table holds no households")
 	}
-	e.cache = ds
+	ds := &timeseries.Dataset{Series: make([]*timeseries.Series, 0, len(v.ids))}
+	for _, id := range v.ids {
+		cons, temp, err := e.table.readSeriesInto(id, v.n)
+		if err != nil {
+			return err
+		}
+		ds.Series = append(ds.Series, &timeseries.Series{ID: id, Readings: cons})
+		if ds.Temperature == nil {
+			ds.Temperature = &timeseries.Temperature{Values: temp}
+		}
+	}
+	e.base = &view{e: e, ids: v.ids, n: v.n, cache: ds, temp: ds.Temperature}
 	return nil
 }
 
 // Release implements core.Engine: drops the tuple cache and empties the
 // buffer pool, so the next Run pays cold-start I/O again. With the
 // write-ahead log armed, the pool's dirty pages cannot be written back
-// in place (no-steal), so a checkpoint folds them atomically first.
+// in place (no-steal), so a copy-on-write rewrite folds them first; it
+// publishes nothing, so the base view stays as it was.
 func (e *Engine) Release() error {
-	e.cache = nil
-	e.temp = nil
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
 	if e.bp == nil {
 		return nil
 	}
-	if e.walOn && e.wlog != nil {
-		if err := e.Checkpoint(); err != nil {
-			return err
-		}
+	e.base = &view{e: e, ids: e.base.ids, n: e.base.n}
+	if err := e.foldLogLocked(); err != nil {
+		return err
 	}
 	return e.bp.reset()
 }
@@ -312,18 +323,17 @@ func (e *Engine) closeStorage() error {
 	if e.pf == nil {
 		return nil
 	}
-	var first error
-	if e.walOn && e.wlog != nil {
-		// Clean shutdown with a log open: fold the pool's dirty pages
-		// atomically (no-steal pools must not flush in place) and
-		// truncate the log. On failure fall through to the plain flush —
-		// the log survives on disk and replays next open.
-		e.readMu.Lock()
-		first = e.checkpointLocked()
-		e.readMu.Unlock()
-	}
-	if err := e.bp.flush(); err != nil && first == nil {
-		first = err
+	// Clean shutdown with a log open: fold the pool's dirty pages
+	// atomically and truncate the log. No-steal pools never flush in
+	// place, so after a failed fold the table file keeps the last
+	// checkpoint and the log, still on disk, replays at the next open.
+	e.readMu.Lock()
+	first := e.foldLogLocked()
+	e.readMu.Unlock()
+	if !e.walOn {
+		if err := e.bp.flush(); err != nil && first == nil {
+			first = err
+		}
 	}
 	if e.wlog != nil {
 		if err := e.wlog.Close(); err != nil && first == nil {
@@ -335,31 +345,10 @@ func (e *Engine) closeStorage() error {
 		first = err
 	}
 	e.pf, e.bp, e.table = nil, nil, nil
-	e.cache = nil
-	e.temp = nil
+	e.base = nil
 	e.live = nil
 	e.ckptAppended = 0
 	return first
-}
-
-// materialize extracts the full dataset from stored tuples.
-func (e *Engine) materialize() (*timeseries.Dataset, error) {
-	series := make([]*timeseries.Series, 0, len(e.ids))
-	var temp *timeseries.Temperature
-	for _, id := range e.ids {
-		s, t, err := e.table.readSeries(id)
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, s)
-		if temp == nil {
-			temp = t
-		}
-	}
-	if temp == nil {
-		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	return &timeseries.Dataset{Series: series, Temperature: temp}, nil
 }
 
 // Run implements core.Engine by handing the engine's cursor to the
@@ -371,41 +360,93 @@ func (e *Engine) Run(spec core.Spec) (*core.Results, error) {
 }
 
 // RunContext implements core.Engine: Run under a caller-supplied context
-// governing cancellation and deadlines.
+// governing cancellation and deadlines. The run reads one published
+// view from its temperature column through every cursor.
 func (e *Engine) RunContext(ctx context.Context, spec core.Spec) (*core.Results, error) {
+	v, err := e.current()
+	if err != nil {
+		return nil, err
+	}
+	return exec.RunContext(ctx, v, spec)
+}
+
+// current returns the published view.
+func (e *Engine) current() (*view, error) {
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
 	if e.table == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
-	return exec.RunContext(ctx, e, spec)
+	return e.base, nil
 }
 
-// NewCursor implements core.Engine: in-memory arrays after Warm,
-// otherwise a serial index-scan cursor through the buffer pool.
+// NewCursor implements core.Engine over the published view.
 func (e *Engine) NewCursor() (core.Cursor, error) {
-	if e.table == nil {
-		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
+	v, err := e.current()
+	if err != nil {
+		return nil, err
 	}
-	if e.cache != nil {
-		return core.NewDatasetCursor(e.cache), nil
-	}
-	return &scanCursor{e: e}, nil
+	return v.NewCursor()
 }
 
-// NewCursors implements core.PartitionedSource: contiguous household
-// ranges of the sorted ID list, which are contiguous heap-page ranges
-// because Load inserts tuples in household order. All range cursors
-// funnel through readSeriesShared, sharing the single buffer pool under
-// the engine's read lock.
+// NewCursors implements core.PartitionedSource over the published view.
 func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
+	v, err := e.current()
+	if err != nil {
+		return nil, err
+	}
+	return v.NewCursors(max)
+}
+
+// Temperature implements core.Engine over the published view.
+func (e *Engine) Temperature() (*timeseries.Temperature, error) {
+	v, err := e.current()
+	if err != nil {
+		return nil, err
+	}
+	return v.Temperature()
+}
+
+var _ core.PartitionedSource = (*Engine)(nil)
+
+// view is one published state of the base: the household list and
+// series length Run reads, plus what Warm or Temperature extracted from
+// them. Load, Open and a publishing Checkpoint install a new view; Warm
+// and Release install one with or without the in-memory cache. A view
+// never changes in place except for temp's lazy fill under readMu, so a
+// Run that takes one view for its temperature column and all its
+// cursors cannot pair a temperature column and series of different
+// lengths when a Checkpoint publishes mid-run, and a cursor keeps
+// reading what it opened on.
+type view struct {
+	e     *Engine
+	ids   []timeseries.ID
+	n     int
+	cache *timeseries.Dataset // set by Warm
+	temp  *timeseries.Temperature
+}
+
+// NewCursor is the view's full cursor: in-memory arrays after Warm,
+// otherwise a serial index-scan cursor through the buffer pool.
+func (v *view) NewCursor() (core.Cursor, error) {
+	if v.cache != nil {
+		return core.NewDatasetCursor(v.cache), nil
+	}
+	return &scanCursor{e: v.e, ids: v.ids, n: v.n}, nil
+}
+
+// NewCursors splits the view into contiguous household ranges of the
+// sorted ID list, which are contiguous heap-page ranges because Load
+// inserts tuples in household order. All scan cursors funnel through
+// readSeriesShared, sharing the single buffer pool under the engine's
+// read lock.
+func (v *view) NewCursors(max int) ([]core.Cursor, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("rowstore: NewCursors: max must be >= 1, got %d", max)
 	}
-	if e.table == nil {
-		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	if e.cache != nil {
-		series := e.cache.Series
-		curs := make([]core.Cursor, 0, max)
+	curs := make([]core.Cursor, 0, max)
+	if v.cache != nil {
+		series := v.cache.Series
 		for _, r := range core.PartitionRanges(len(series), max) {
 			part := series[r[0]:r[1]]
 			curs = append(curs, core.NewLazyCursor(func(context.Context) ([]*timeseries.Series, error) {
@@ -414,51 +455,47 @@ func (e *Engine) NewCursors(max int) ([]core.Cursor, error) {
 		}
 		return curs, nil
 	}
-	curs := make([]core.Cursor, 0, max)
-	for _, r := range core.PartitionRanges(len(e.ids), max) {
-		curs = append(curs, &rangeCursor{e: e, lo: r[0], hi: r[1]})
+	for _, r := range core.PartitionRanges(len(v.ids), max) {
+		curs = append(curs, &scanCursor{e: v.e, ids: v.ids[r[0]:r[1]], n: v.n})
 	}
 	return curs, nil
 }
 
-var _ core.PartitionedSource = (*Engine)(nil)
-
-// readSeriesShared is the one extraction path every cursor uses: it
-// holds readMu across the index scan and tuple decode, and memoizes the
-// temperature column read alongside the first consumer.
-func (e *Engine) readSeriesShared(id timeseries.ID) (*timeseries.Series, error) {
+// Temperature is the view's temperature column, read from the first
+// consumer's tuples on first use.
+func (v *view) Temperature() (*timeseries.Temperature, error) {
+	if v.cache != nil {
+		return v.cache.Temperature, nil
+	}
+	e := v.e
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
-	s, temp, err := e.table.readSeries(id)
-	if err != nil {
-		return nil, err
-	}
-	if e.temp == nil {
-		e.temp = temp
-	}
-	return s, nil
-}
-
-// Temperature implements core.Engine. The temperature column is read
-// alongside the first consumer's tuples and cached until the next
-// Load/Open/Release.
-func (e *Engine) Temperature() (*timeseries.Temperature, error) {
-	if e.cache != nil {
-		return e.cache.Temperature, nil
-	}
 	if e.table == nil {
 		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
-	if e.temp != nil {
-		return e.temp, nil
+	if v.temp == nil {
+		if len(v.ids) == 0 {
+			return nil, fmt.Errorf("rowstore: table holds no households")
+		}
+		_, temp, err := e.table.readSeriesInto(v.ids[0], v.n)
+		if err != nil {
+			return nil, err
+		}
+		v.temp = &timeseries.Temperature{Values: temp}
 	}
-	if len(e.ids) == 0 {
-		return nil, fmt.Errorf("rowstore: table holds no households")
+	return v.temp, nil
+}
+
+// readSeriesShared is the one extraction path every scan cursor uses:
+// it holds readMu across the index scan and tuple decode of the first
+// n hours.
+func (e *Engine) readSeriesShared(id timeseries.ID, n int) (*timeseries.Series, error) {
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
+	if e.table == nil {
+		return nil, fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
 	}
-	if _, err := e.readSeriesShared(e.ids[0]); err != nil {
-		return nil, err
-	}
-	return e.temp, nil
+	return e.table.readSeriesUpTo(id, n)
 }
 
 // Layout returns the engine's physical schema.
@@ -473,72 +510,6 @@ func (e *Engine) PoolStats() (hits, misses int64) {
 }
 
 var _ core.Engine = (*Engine)(nil)
-
-// AppendDelta implements core.DeltaAppender: new readings become
-// ordinary tuple inserts (cheap — the write-optimized side of the
-// trade-off). It refuses to run while live-ingested tuples exist (see
-// Append in live.go): delta hours would collide with live hours.
-func (e *Engine) AppendDelta(delta *timeseries.Dataset) error {
-	if e.table == nil {
-		return fmt.Errorf("rowstore: %w", core.ErrNotLoaded)
-	}
-	if e.walOn {
-		// An unreplayed log may hold live tuples the length checks below
-		// cannot see; materialize the live state (replaying the log)
-		// before deciding the delta is collision-free.
-		e.readMu.Lock()
-		_, err := e.ensureLive()
-		e.readMu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	if e.live != nil && e.live.appended > 0 {
-		return fmt.Errorf("rowstore: live tuples present; AppendDelta is unsupported after live Append")
-	}
-	if len(delta.Series) != len(e.ids) {
-		return fmt.Errorf("rowstore: delta has %d households, table has %d", len(delta.Series), len(e.ids))
-	}
-	n := len(delta.Temperature.Values)
-	for _, s := range delta.Series {
-		if len(s.Readings) != n {
-			return fmt.Errorf("rowstore: delta household %d has %d readings, temperature has %d",
-				s.ID, len(s.Readings), n)
-		}
-	}
-	for _, s := range delta.Series {
-		if err := e.table.appendReadings(s.ID, s.Readings, delta.Temperature.Values); err != nil {
-			return err
-		}
-	}
-	e.table.setSeriesLen(e.table.seriesLen + n)
-	e.cache = nil
-	e.temp = nil
-	e.live = nil // series lengths changed; rebuild lazily
-	if err := writeMeta(e.bp, metaPage{
-		layout:    e.table.layout,
-		heapFirst: e.table.heap.first,
-		heapLast:  e.table.heap.last,
-		tuples:    e.table.heap.tuples,
-		root:      e.table.index.root,
-		height:    e.table.index.height,
-		seriesLen: e.table.seriesLen,
-		consumers: e.table.consumers,
-	}); err != nil {
-		return err
-	}
-	if e.walOn && e.wlog != nil {
-		// Bulk deltas never ride the log; a checkpoint makes them
-		// durable with the same atomic rewrite an Append fold uses.
-		e.readMu.Lock()
-		defer e.readMu.Unlock()
-		e.ckptAppended = 0
-		return e.checkpointLocked()
-	}
-	return nil
-}
-
-var _ core.DeltaAppender = (*Engine)(nil)
 
 // StorageBytes returns the current size of the engine's table file.
 func (e *Engine) StorageBytes() int64 {

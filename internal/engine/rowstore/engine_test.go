@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/smartmeter/smartbench/internal/core"
+	"github.com/smartmeter/smartbench/internal/exec/cursortest"
 	"github.com/smartmeter/smartbench/internal/meterdata"
 	"github.com/smartmeter/smartbench/internal/seed"
 	"github.com/smartmeter/smartbench/internal/timeseries"
@@ -162,7 +163,7 @@ func TestEngineWarmAndRelease(t *testing.T) {
 	if err := e.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	if e.cache == nil {
+	if e.base.cache == nil {
 		t.Fatal("warm did not populate cache")
 	}
 	r, err := e.Run(core.Spec{Task: core.TaskHistogram})
@@ -175,7 +176,7 @@ func TestEngineWarmAndRelease(t *testing.T) {
 	if err := e.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if e.cache != nil {
+	if e.base.cache != nil {
 		t.Error("release kept cache")
 	}
 	// Still runnable cold after release.
@@ -328,8 +329,8 @@ func TestOpenReattachesStorage(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareResults(t, got, want)
-			if len(e2.ids) != len(ds.Series) {
-				t.Errorf("recovered %d consumers, want %d", len(e2.ids), len(ds.Series))
+			if len(e2.base.ids) != len(ds.Series) {
+				t.Errorf("recovered %d consumers, want %d", len(e2.base.ids), len(ds.Series))
 			}
 		})
 	}
@@ -352,15 +353,21 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-func deltaFor(t *testing.T, ds *timeseries.Dataset, days int) *timeseries.Dataset {
+// dayBatch generates days of new readings for consumers households
+// and the Append batch continuing the stored series at hour base.
+func dayBatch(t *testing.T, consumers, days, base int) (*timeseries.Dataset, []core.Reading) {
 	t.Helper()
-	d, err := seed.Generate(seed.Config{Consumers: len(ds.Series), Days: days, Seed: 123})
+	d, err := seed.Generate(seed.Config{Consumers: consumers, Days: days, Seed: 123})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return d, core.DeltaBatch(d, base)
 }
 
+// TestAppendExtendsEverySeries: the update workload — one Append batch
+// holding every household's new days, then Checkpoint — publishes the
+// new prefix to Run; the appended values round-trip exactly, and all
+// of it survives Close/Open.
 func TestAppendExtendsEverySeries(t *testing.T) {
 	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
 		t.Run(layout.String(), func(t *testing.T) {
@@ -370,31 +377,53 @@ func TestAppendExtendsEverySeries(t *testing.T) {
 			if _, err := e.Load(src); err != nil {
 				t.Fatal(err)
 			}
-			delta := deltaFor(t, ds, 2)
-			if err := e.AppendDelta(delta); err != nil {
+			off := 10 * timeseries.HoursPerDay
+			delta, batch := dayBatch(t, len(ds.Series), 2, off)
+			if err := e.Append(batch); err != nil {
 				t.Fatal(err)
 			}
-			// Every series must now hold 12 days and the appended values
-			// must round-trip exactly.
-			for i, want := range delta.Series {
-				s, temp, err := e.table.readSeries(ds.Series[i].ID)
-				if err != nil {
-					t.Fatal(err)
+			for id, n := range cursortest.HistogramTotals(t, e) {
+				if n != int64(off) {
+					t.Fatalf("consumer %d: %d readings visible before Checkpoint, want %d", id, n, off)
 				}
-				if len(s.Readings) != 12*timeseries.HoursPerDay {
-					t.Fatalf("series %d has %d readings", s.ID, len(s.Readings))
+			}
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			check := func(e *Engine) {
+				t.Helper()
+				totals := cursortest.HistogramTotals(t, e)
+				if len(totals) != len(ds.Series) {
+					t.Fatalf("Run sees %d consumers, want %d", len(totals), len(ds.Series))
 				}
-				off := 10 * timeseries.HoursPerDay
-				for j, v := range want.Readings {
-					if s.Readings[off+j] != v {
-						t.Fatalf("series %d appended reading %d: %g vs %g", s.ID, j, s.Readings[off+j], v)
+				for id, n := range totals {
+					if n != int64(off+2*timeseries.HoursPerDay) {
+						t.Fatalf("consumer %d: %d readings after Checkpoint", id, n)
 					}
-					if temp.Values[off+j] != delta.Temperature.Values[j] {
-						t.Fatalf("series %d appended temp %d mismatch", s.ID, j)
+				}
+				// Every series now holds 12 days and the appended values
+				// round-trip exactly.
+				for _, want := range delta.Series {
+					s, temp, err := e.table.readSeries(want.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(s.Readings) != 12*timeseries.HoursPerDay {
+						t.Fatalf("series %d has %d readings", s.ID, len(s.Readings))
+					}
+					for j, v := range want.Readings {
+						if s.Readings[off+j] != v {
+							t.Fatalf("series %d appended reading %d: %g vs %g", s.ID, j, s.Readings[off+j], v)
+						}
+						if temp.Values[off+j] != delta.Temperature.Values[j] {
+							t.Fatalf("series %d appended temp %d mismatch", s.ID, j)
+						}
 					}
 				}
 			}
-			// The append survives a close/reopen cycle (meta page updated).
+			check(e)
+			// The published prefix survives a close/reopen cycle (meta
+			// page updated).
 			dir := e.dir
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
@@ -404,40 +433,38 @@ func TestAppendExtendsEverySeries(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			s, _, err := re.table.readSeries(ds.Series[0].ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(s.Readings) != 12*timeseries.HoursPerDay {
-				t.Errorf("after reopen: %d readings", len(s.Readings))
-			}
+			check(re)
 		})
 	}
 }
 
+// TestAppendValidation: a day batch with a gap is refused whole, so
+// the following Checkpoint publishes nothing and Run keeps the base.
 func TestAppendValidation(t *testing.T) {
 	src, ds := writeSource(t, 3, 5)
 	e := New(t.TempDir())
 	defer e.Close()
 	empty := New(t.TempDir())
 	defer empty.Close()
-	if err := empty.AppendDelta(&timeseries.Dataset{}); err == nil || !errors.Is(err, core.ErrNotLoaded) {
-		t.Errorf("append before load: %v", err)
+	if err := empty.Checkpoint(); err == nil || !errors.Is(err, core.ErrNotLoaded) {
+		t.Errorf("checkpoint before load: %v", err)
 	}
 	if _, err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
-	// Wrong household count.
-	short := deltaFor(t, ds, 1)
-	short.Series = short.Series[:2]
-	if err := e.AppendDelta(short); err == nil {
-		t.Error("short delta: want error")
+	base := 5 * timeseries.HoursPerDay
+	_, batch := dayBatch(t, len(ds.Series), 1, base)
+	batch = append(batch[:30], batch[31:]...) // household 2 skips an hour
+	if err := e.Append(batch); err == nil {
+		t.Fatal("day batch with a gap: want error")
 	}
-	// Readings/temperature mismatch.
-	bad := deltaFor(t, ds, 1)
-	bad.Series[0].Readings = bad.Series[0].Readings[:12]
-	if err := e.AppendDelta(bad); err == nil {
-		t.Error("ragged delta: want error")
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range cursortest.HistogramTotals(t, e) {
+		if n != int64(base) {
+			t.Errorf("consumer %d: %d readings after a refused batch, want %d", id, n, base)
+		}
 	}
 }
 

@@ -20,24 +20,29 @@ import (
 // pool) and makes batches atomic with respect to snapshots and
 // readers for free.
 //
-// Visibility. table.seriesLen is the published base length: NewCursor,
-// Run and Warm keep reading exactly the seriesLen prefix, so the base
-// view is stable while ingestion runs. Snapshot captures the
-// per-household live lengths and serves the full committed state
-// through truncating prefix reads (readSeriesUpTo), so a snapshot at
-// epoch E never observes a batch committed after E.
+// Append is the engine's one write path: the paper's §3 update
+// workload ("add a day's worth of new points") is one Append batch
+// holding every household's new hours, followed by Checkpoint.
 //
-// Durability. Live tuples are real pages: every Append rewrites the
-// meta page, and the buffer pool flushes on Close/Release, so a
-// reopened engine rebuilds its live lengths from the index (ensureLive
-// scans lazily — the cold-start path pays nothing until the first
-// Append or Snapshot). That baseline loses whatever a crash catches in
-// the pool; WithWAL closes the hole: the batch is framed into the
-// write-ahead log before Append acks — the whole batch,
-// duplicates included, because a batch applied in memory whose log
-// write failed must re-log entirely on retry or the retry's ack would
-// promise durability the log cannot deliver — the pool switches to
-// no-steal so the table file only changes at checkpoints, and reopen
+// Visibility. The published view (engine.go) holds the base household
+// list and length: NewCursor, Run and Warm read exactly that prefix, so
+// the base is stable while ingestion runs, and Checkpoint publishes the
+// common prefix of every household as a new view (durable.go).
+// Snapshot captures the per-household live lengths and serves the full
+// committed state through truncating prefix reads (readSeriesUpTo), so
+// a snapshot at epoch E never observes a batch committed after E.
+//
+// Durability. Live tuples are real pages: without the write-ahead log
+// every Append rewrites the meta page and flushes the buffer pool, so
+// a reopened engine rebuilds its live lengths from the index
+// (ensureLive scans lazily — the cold-start path pays nothing until
+// the first Append or Snapshot). That baseline loses whatever a crash
+// catches mid-flush; WithWAL closes the hole: the batch is framed into
+// the write-ahead log before Append acks — the whole batch, duplicates
+// included, because a batch applied in memory whose log write failed
+// must re-log entirely on retry or the retry's ack would promise
+// durability the log cannot deliver — the pool switches to no-steal
+// and nothing but a checkpoint writes the table file, and reopen
 // replays the log through applyBatch, which skips duplicates exactly
 // like live delivery. See durable.go for the checkpoint protocol.
 
@@ -58,15 +63,21 @@ func (e *Engine) ensureLive() (*liveState, error) {
 	if e.live != nil {
 		return e.live, nil
 	}
+	// Every household in the index, published or not: one that joined
+	// after the last publishing Checkpoint is outside the published view.
+	ids, err := e.table.distinctIDs()
+	if err != nil {
+		return nil, err
+	}
 	ls := &liveState{
-		lens: make(map[timeseries.ID]int, len(e.ids)),
-		seqs: make(map[timeseries.ID]uint64, len(e.ids)),
-		ids:  append([]timeseries.ID(nil), e.ids...),
+		lens: make(map[timeseries.ID]int, len(ids)),
+		seqs: make(map[timeseries.ID]uint64, len(ids)),
+		ids:  ids,
 	}
 	maxLen := 0
 	var maxID timeseries.ID
-	for _, id := range e.ids {
-		n, seq, err := e.committedLen(id)
+	for _, id := range ids {
+		n, seq, err := e.table.committedLen(id)
 		if err != nil {
 			return nil, err
 		}
@@ -98,70 +109,94 @@ func (e *Engine) ensureLive() (*liveState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rowstore: %w", err)
 		}
-		replayed := false
 		if err := lg.Replay(func(batch []core.Reading) error {
-			replayed = true
 			return e.applyBatch(ls, batch)
 		}); err != nil {
 			_ = lg.Close()
 			return nil, fmt.Errorf("rowstore: wal replay: %w", err)
 		}
 		e.wlog = lg
-		if replayed {
-			tb := e.table
-			if err := writeMeta(e.bp, metaPage{
-				layout:    tb.layout,
-				heapFirst: tb.heap.first,
-				heapLast:  tb.heap.last,
-				tuples:    tb.heap.tuples,
-				root:      tb.index.root,
-				height:    tb.index.height,
-				seriesLen: tb.seriesLen,
-				consumers: tb.consumers,
-			}); err != nil {
-				return nil, err
-			}
-		}
 	}
 	e.live = ls
 	return ls, nil
 }
 
-// committedLen scans one household's index range for its total
-// committed hours (live tuples included) and next sequence number.
-func (e *Engine) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err error) {
+// committedLen finds one household's total committed hours (live
+// tuples included) and next sequence number from its last index entry.
+// The scan starts at the entry holding the published prefix's last
+// hour, so a household holding the prefix costs one seek plus its live
+// entries rather than a walk of its whole index range; one that does
+// not (it joined after the last publish) falls back to the whole range.
+func (tb *table) committedLen(id timeseries.ID) (hours int, nextSeq uint64, err error) {
+	var from uint64
+	if tb.seriesLen > 0 {
+		from = uint64(tb.seriesLen - 1)
+		if tb.layout == LayoutArrays {
+			// A chunk holds at most chunkHours hours, so the chunk
+			// holding hour h has sequence number h/chunkHours or more.
+			from /= chunkHours
+		}
+	}
+	hours, nextSeq, found, err := tb.lastEntry(id, from)
+	if err == nil && !found && from > 0 {
+		hours, nextSeq, _, err = tb.lastEntry(id, 0)
+	}
+	return hours, nextSeq, err
+}
+
+// lastEntry reads the committed length and next sequence number from
+// the last of one household's index entries at sequence from or later.
+func (tb *table) lastEntry(id timeseries.ID, from uint64) (hours int, nextSeq uint64, found bool, err error) {
 	var lastK key
 	var lastT TID
-	found := false
-	err = e.table.index.scanRange(key{ID: uint64(id)}, key{ID: uint64(id) + 1}, func(k key, v TID) error {
+	err = tb.index.scanRange(key{ID: uint64(id), Seq: from}, key{ID: uint64(id) + 1}, func(k key, v TID) error {
 		lastK, lastT, found = k, v, true
 		return nil
 	})
 	if err != nil || !found {
-		return 0, 0, err
+		return 0, 0, false, err
 	}
-	switch e.table.layout {
+	switch tb.layout {
 	case LayoutRows:
-		return int(lastK.Seq) + 1, lastK.Seq + 1, nil
+		return int(lastK.Seq) + 1, lastK.Seq + 1, true, nil
 	case LayoutArrays:
-		t, err := e.table.heap.get(lastT)
+		t, err := tb.heap.get(lastT)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
 		start, count, err := chunkBounds(t)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
-		return start + count, lastK.Seq + 1, nil
+		return start + count, lastK.Seq + 1, true, nil
 	default:
-		return 0, 0, fmt.Errorf("rowstore: unknown layout %v", e.table.layout)
+		return 0, 0, false, fmt.Errorf("rowstore: unknown layout %v", tb.layout)
 	}
+}
+
+// holdingPrefix keeps the households that hold at least the published
+// seriesLen hours.
+func (tb *table) holdingPrefix(ids []timeseries.ID) ([]timeseries.ID, error) {
+	kept := ids[:0]
+	for _, id := range ids {
+		n, _, err := tb.committedLen(id)
+		if err != nil {
+			return nil, err
+		}
+		if n >= tb.seriesLen {
+			kept = append(kept, id)
+		}
+	}
+	return kept, nil
 }
 
 // Append implements core.Appender. The batch is applied under readMu —
 // serial writers, atomic batches — with redelivered hours skipped, so
-// a retried batch applies exactly once. The meta page is rewritten per
-// batch for durability.
+// a retried batch applies exactly once. Without the write-ahead log the
+// meta page is rewritten and the pool flushed per batch; with it, the
+// log record is the batch's durability and the table file waits for
+// the next checkpoint, or for the fold Append runs itself once the
+// no-steal pool holds twice its capacity.
 func (e *Engine) Append(batch []core.Reading) error {
 	e.readMu.Lock()
 	defer e.readMu.Unlock()
@@ -171,6 +206,15 @@ func (e *Engine) Append(batch []core.Reading) error {
 	ls, err := e.ensureLive()
 	if err != nil {
 		return err
+	}
+	if e.walOn && e.bp.overfull() {
+		// A no-steal pool evicts no dirty page, so between checkpoints
+		// it grows with every page the appends dirty. Fold them into the
+		// table file (publishing nothing) before this batch, so a
+		// failed fold leaves the batch unapplied.
+		if err := e.checkpointLocked(); err != nil {
+			return err
+		}
 	}
 	if err := e.applyBatch(ls, batch); err != nil {
 		return err
@@ -191,17 +235,13 @@ func (e *Engine) Append(batch []core.Reading) error {
 		e.ckpt.Trigger()
 	}
 	ls.epoch++
-	tb := e.table
-	return writeMeta(e.bp, metaPage{
-		layout:    tb.layout,
-		heapFirst: tb.heap.first,
-		heapLast:  tb.heap.last,
-		tuples:    tb.heap.tuples,
-		root:      tb.index.root,
-		height:    tb.index.height,
-		seriesLen: tb.seriesLen,
-		consumers: tb.consumers,
-	})
+	if e.walOn {
+		return nil
+	}
+	if err := writeMeta(e.bp, e.table.meta()); err != nil {
+		return err
+	}
+	return e.bp.flush()
 }
 
 // applyBatch inserts the batch's fresh readings. LayoutArrays

@@ -38,11 +38,11 @@ func sameRows(t *testing.T, got, want map[timeseries.ID][]float64) {
 
 // loadWAL loads a fresh WAL-armed engine over a generated base and
 // returns it with its directory, household IDs and base length.
-func loadWAL(t *testing.T, layout Layout) (e *Engine, dir string, ids []timeseries.ID, baseN int) {
+func loadWAL(t *testing.T, layout Layout, opts ...Option) (e *Engine, dir string, ids []timeseries.ID, baseN int) {
 	t.Helper()
 	src, ds := writeSource(t, 4, 2)
 	dir = t.TempDir()
-	e = New(dir, WithLayout(layout), WithWAL(wal.SyncBatch))
+	e = New(dir, append([]Option{WithLayout(layout), WithWAL(wal.SyncBatch)}, opts...)...)
 	if _, err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
@@ -392,6 +392,107 @@ func TestWALRejectedBatchRecovers(t *testing.T) {
 			}
 			defer cur2.Close()
 			sameRows(t, drainSnap(t, cur2), want)
+		})
+	}
+}
+
+// TestWALAppendLeavesTableFileUntouched: with the log armed, nothing
+// but a checkpoint writes the table file. Appends that allocate pages
+// and split index nodes leave table.db byte-identical, and so does a
+// reopen that replays them.
+func TestWALAppendLeavesTableFileUntouched(t *testing.T) {
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			e, dir, ids, baseN := loadWAL(t, layout)
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "table.db")
+			base, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unchanged := func(when string) {
+				t.Helper()
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(base) {
+					t.Fatalf("%s: table.db changed (%d -> %d bytes)", when, len(base), len(got))
+				}
+			}
+			const extra = 300
+			for h := baseN; h < baseN+extra; h++ {
+				if err := e.Append(hourBatch(ids, h)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if grown := int64(e.pf.nPages) * PageSize; grown <= int64(len(base)) {
+				t.Fatalf("appends allocated no pages (%d bytes); the test needs a bigger tail", grown)
+			}
+			unchanged("after appends")
+			cur, _, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drainSnap(t, cur)
+			cur.Close()
+			e.Crash()
+
+			re := New(dir, WithWAL(wal.SyncBatch))
+			if err := re.Open(); err != nil {
+				t.Fatal(err)
+			}
+			cur2, _, err := re.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, drainSnap(t, cur2), want)
+			cur2.Close()
+			unchanged("after a reopen with replay")
+			re.Crash()
+		})
+	}
+}
+
+// TestWALPoolStaysBounded: a no-steal pool evicts no dirty page, so
+// Append folds the pool into the table file once it holds twice its
+// capacity. A long run of appends through a 16-page pool keeps it
+// within that bound plus one batch's pages, publishes nothing, and
+// survives a crash and replay intact.
+func TestWALPoolStaysBounded(t *testing.T) {
+	for _, layout := range []Layout{LayoutRows, LayoutArrays} {
+		t.Run(layout.String(), func(t *testing.T) {
+			const pages = 16
+			e, dir, ids, baseN := loadWAL(t, layout, WithPoolPages(pages))
+			for h := baseN; h < baseN+2000; h++ {
+				if err := e.Append(hourBatch(ids, h)); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(e.bp.frames); n > 2*pages+4 {
+					t.Fatalf("hour %d: pool holds %d frames, cap %d", h, n, pages)
+				}
+			}
+			wantTotals(t, e, ids, baseN)
+			cur, _, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drainSnap(t, cur)
+			cur.Close()
+			e.Crash()
+			re := New(dir, WithWAL(wal.SyncBatch), WithPoolPages(pages))
+			defer re.Close()
+			if err := re.Open(); err != nil {
+				t.Fatal(err)
+			}
+			cur2, _, err := re.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, drainSnap(t, cur2), want)
+			cur2.Close()
 		})
 	}
 }

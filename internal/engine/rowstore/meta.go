@@ -29,7 +29,24 @@ type metaPage struct {
 	consumers int
 }
 
-// writeMeta persists the meta page through the buffer pool.
+// meta describes the table's published state for the meta page.
+func (tb *table) meta() metaPage {
+	return metaPage{
+		layout:    tb.layout,
+		heapFirst: tb.heap.first,
+		heapLast:  tb.heap.last,
+		tuples:    tb.heap.tuples,
+		root:      tb.index.root,
+		height:    tb.index.height,
+		seriesLen: tb.seriesLen,
+		consumers: tb.consumers,
+	}
+}
+
+// writeMeta updates the meta page in the buffer pool and marks it
+// dirty; it writes nothing to disk. The caller decides when the page
+// reaches the file: a flush without the write-ahead log, a checkpoint
+// with it.
 func writeMeta(bp *bufferPool, m metaPage) error {
 	fr, err := bp.fetch(0)
 	if err != nil {
@@ -46,7 +63,7 @@ func writeMeta(bp *bufferPool, m metaPage) error {
 	putU32(data, 36, uint32(m.seriesLen))
 	putU32(data, 40, uint32(m.consumers))
 	bp.unpin(fr, true)
-	return bp.flush()
+	return nil
 }
 
 // readMeta loads and validates the meta page.

@@ -191,11 +191,19 @@ func (bp *bufferPool) fetch(id PageID) (*frame, error) {
 	return fr, nil
 }
 
-// allocate creates a new page and returns its pinned frame.
+// allocate creates a new page and returns its pinned frame. A no-steal
+// pool only reserves the page ID: the page is born dirty, so it stays
+// in the pool until the next checkpoint writes it, and the table file
+// does not grow before then.
 func (bp *bufferPool) allocate() (*frame, error) {
-	id, err := bp.pf.allocate()
-	if err != nil {
-		return nil, err
+	id := bp.pf.nPages
+	if bp.noSteal {
+		bp.pf.nPages++
+	} else {
+		var err error
+		if id, err = bp.pf.allocate(); err != nil {
+			return nil, err
+		}
 	}
 	fr, err := bp.victim()
 	if err != nil {
@@ -237,11 +245,31 @@ func (bp *bufferPool) victim() (*frame, error) {
 	}
 	if bp.noSteal {
 		// Every unpinned frame is dirty: grow past cap and let the next
-		// checkpoint clean the pool back down.
+		// checkpoint (at the latest, Append's fold at twice the cap)
+		// clean the pool back down.
 		return &frame{}, nil
 	}
 	return nil, errPoolFull
 }
+
+// trim evicts clean unpinned frames, least recently used first, until
+// the pool is back at its capacity: after a checkpoint has cleaned a
+// no-steal pool that grew past it.
+func (bp *bufferPool) trim() {
+	for fr := bp.lruTail; fr != nil && len(bp.frames) > bp.cap; {
+		prev := fr.prev
+		if fr.pins == 0 && !fr.dirty {
+			bp.lruRemove(fr)
+			delete(bp.frames, fr.id)
+		}
+		fr = prev
+	}
+}
+
+// overfull reports whether a no-steal pool has grown to twice its
+// capacity: the point where the engine folds its dirty pages into the
+// table file rather than keep growing.
+func (bp *bufferPool) overfull() bool { return len(bp.frames) >= 2*bp.cap }
 
 func (bp *bufferPool) unpin(fr *frame, dirty bool) {
 	if dirty {

@@ -86,26 +86,25 @@ func encodeArrayChunk(buf []byte, id timeseries.ID, startHour int, cons, temp []
 	return buf, nil
 }
 
-// decodeArrayChunk decodes a chunk tuple, appending into cons/temp at
-// the encoded start hour (the slices must already be sized).
+// decodeArrayChunk decodes a chunk tuple into cons/temp at the encoded
+// start hour. The slices are the series prefix being read and must
+// have equal lengths; hours at or beyond that length are skipped, so a
+// prefix may end inside the chunk. It allocates nothing.
 func decodeArrayChunk(t []byte, cons, temp []float64) (timeseries.ID, error) {
-	if len(t) < 16 {
-		return 0, fmt.Errorf("rowstore: chunk tuple of %d bytes", len(t))
+	start, n, err := chunkBounds(t)
+	if err != nil {
+		return 0, err
 	}
-	id := timeseries.ID(getU64(t, 0))
-	start := int(getU32(t, 8))
-	n := int(getU32(t, 12))
-	if len(t) != 16+n*16 {
-		return 0, fmt.Errorf("rowstore: chunk tuple size %d, want %d", len(t), 16+n*16)
+	if len(cons) != len(temp) {
+		return 0, fmt.Errorf("rowstore: chunk targets differ: %d vs %d", len(cons), len(temp))
 	}
-	if start+n > len(cons) || start+n > len(temp) {
-		return 0, fmt.Errorf("rowstore: chunk [%d, %d) outside series of %d", start, start+n, len(cons))
+	end := min(start+n, len(cons))
+	for h := start; h < end; h++ {
+		i := h - start
+		cons[h] = math.Float64frombits(getU64(t, 16+i*8))
+		temp[h] = math.Float64frombits(getU64(t, 16+(n+i)*8))
 	}
-	for i := 0; i < n; i++ {
-		cons[start+i] = math.Float64frombits(getU64(t, 16+i*8))
-		temp[start+i] = math.Float64frombits(getU64(t, 16+(n+i)*8))
-	}
-	return id, nil
+	return timeseries.ID(getU64(t, 0)), nil
 }
 
 // table is a stored relation: a heap file plus a B+tree on the
@@ -188,64 +187,11 @@ func (tb *table) insertChunks(id timeseries.ID, firstSeq uint64, hourOffset int,
 	return nil
 }
 
-// maxSeq returns the highest stored sequence number for a household and
-// whether any entry exists.
-func (tb *table) maxSeq(id timeseries.ID) (uint64, bool, error) {
-	var last uint64
-	found := false
-	err := tb.index.scanRange(key{ID: uint64(id)}, key{ID: uint64(id) + 1}, func(k key, _ TID) error {
-		last = k.Seq
-		found = true
-		return nil
-	})
-	return last, found, err
-}
-
-// appendReadings extends one household's series with new hourly data
-// (the benchmark's future-work "add a day's worth of new points"). The
-// caller must extend every household identically and then bump
-// tb.seriesLen once via setSeriesLen.
-func (tb *table) appendReadings(id timeseries.ID, cons, temps []float64) error {
-	if len(cons) != len(temps) {
-		return fmt.Errorf("rowstore: append arrays differ: %d vs %d", len(cons), len(temps))
-	}
-	switch tb.layout {
-	case LayoutRows:
-		var buf []byte
-		for i, c := range cons {
-			h := tb.seriesLen + i
-			buf = encodeRowTuple(buf, id, h, temps[i], c)
-			tid, err := tb.heap.insert(buf)
-			if err != nil {
-				return err
-			}
-			if err := tb.index.insert(key{ID: uint64(id), Seq: uint64(h)}, tid); err != nil {
-				return err
-			}
-		}
-		return nil
-	case LayoutArrays:
-		last, found, err := tb.maxSeq(id)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return fmt.Errorf("rowstore: household %d not found", id)
-		}
-		return tb.insertChunks(id, last+1, tb.seriesLen, cons, temps)
-	default:
-		return fmt.Errorf("rowstore: unknown layout %v", tb.layout)
-	}
-}
-
-// setSeriesLen records the new uniform series length after appends.
-func (tb *table) setSeriesLen(n int) { tb.seriesLen = n }
-
 // readSeries extracts one consumer via an index scan, decoding tuples
 // one at a time (the per-row cost the paper attributes to the DBMS).
 // It reads the published seriesLen prefix: live-appended tuples beyond
-// it (see live.go) are invisible to the base view until a bulk
-// AppendDelta or reload publishes a new length.
+// it (see live.go) are invisible to the base view until a Checkpoint
+// publishes a new length.
 func (tb *table) readSeries(id timeseries.ID) (*timeseries.Series, *timeseries.Temperature, error) {
 	cons, temp, err := tb.readSeriesInto(id, tb.seriesLen)
 	if err != nil {
@@ -255,8 +201,8 @@ func (tb *table) readSeries(id timeseries.ID) (*timeseries.Series, *timeseries.T
 }
 
 // readSeriesUpTo extracts the first n hours of one consumer — the
-// snapshot cursors' truncating read: n is a household length captured
-// at snapshot time, so tuples appended after the capture are skipped.
+// cursors' truncating read: n is a length captured when the cursor
+// opened, so tuples appended (or published) after it are skipped.
 func (tb *table) readSeriesUpTo(id timeseries.ID, n int) (*timeseries.Series, error) {
 	cons, _, err := tb.readSeriesInto(id, n)
 	if err != nil {
@@ -269,9 +215,9 @@ func (tb *table) readSeriesUpTo(id timeseries.ID, n int) (*timeseries.Series, er
 // into n-hour consumption and temperature arrays. Tuples at or beyond
 // hour n terminate the scan: the index orders a household's tuples by
 // sequence, so everything after the first out-of-prefix tuple is also
-// out of prefix. An array chunk straddling n is an invariant breach —
-// chunks never span an append batch, and prefixes are only ever cut at
-// batch boundaries.
+// out of prefix. An array chunk straddling n contributes its first
+// hours only: a published prefix is the shortest household's length,
+// which can end inside a chunk a longer batch wrote for another one.
 func (tb *table) readSeriesInto(id timeseries.ID, n int) ([]float64, []float64, error) {
 	cons := make([]float64, n)
 	temp := make([]float64, n)
@@ -295,15 +241,12 @@ func (tb *table) readSeriesInto(id timeseries.ID, n int) ([]float64, []float64, 
 			}
 			cons[hour], temp[hour] = cv, tv
 		case LayoutArrays:
-			start, count, err := chunkBounds(t)
+			start, _, err := chunkBounds(t)
 			if err != nil {
 				return err
 			}
 			if start >= n {
 				return errStopScan
-			}
-			if start+count > n {
-				return fmt.Errorf("rowstore: prefix of %d hours cuts chunk [%d, %d)", n, start, start+count)
 			}
 			_, err = decodeArrayChunk(t, cons, temp)
 			return err
@@ -322,13 +265,18 @@ func (tb *table) readSeriesInto(id timeseries.ID, n int) ([]float64, []float64, 
 	return cons, temp, nil
 }
 
-// chunkBounds decodes just the [start, start+count) hour range from a
-// LayoutArrays chunk tuple header.
+// chunkBounds decodes the [start, start+count) hour range from a
+// LayoutArrays chunk tuple header, checking that the tuple holds
+// exactly count hours.
 func chunkBounds(t []byte) (start, count int, err error) {
 	if len(t) < 16 {
 		return 0, 0, fmt.Errorf("rowstore: chunk tuple of %d bytes", len(t))
 	}
-	return int(getU32(t, 8)), int(getU32(t, 12)), nil
+	start, count = int(getU32(t, 8)), int(getU32(t, 12))
+	if len(t) != 16+count*16 {
+		return 0, 0, fmt.Errorf("rowstore: chunk tuple size %d, want %d", len(t), 16+count*16)
+	}
+	return start, count, nil
 }
 
 // distinctIDs returns every stored household ID in ascending order by

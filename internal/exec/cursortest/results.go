@@ -5,7 +5,23 @@ import (
 
 	"github.com/smartmeter/smartbench/internal/core"
 	"github.com/smartmeter/smartbench/internal/stats"
+	"github.com/smartmeter/smartbench/internal/timeseries"
 )
+
+// HistogramTotals runs the histogram task on e and returns every
+// consumer's reading count: what an engine's Run sees of each series.
+func HistogramTotals(t testing.TB, e core.Engine) map[timeseries.ID]int64 {
+	t.Helper()
+	res, err := e.Run(core.Spec{Task: core.TaskHistogram})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[timeseries.ID]int64, len(res.Histograms))
+	for _, h := range res.Histograms {
+		out[h.ID] = h.Histogram.Total()
+	}
+	return out
+}
 
 // CompareResults fails the test unless got agrees bit-for-bit with
 // want on every task's result set. It lives here, next to the cursor

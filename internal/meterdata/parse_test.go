@@ -36,11 +36,11 @@ func TestParseFloatBytesMatchesStrconv(t *testing.T) {
 	for _, in := range []string{
 		"0", "1", "-1", "+1", "0.5", "-0.5", "3.141592653589793",
 		"-0", "-0.0", "0.000", "00012.500", ".5", "5.", "-.25",
-		"9007199254740991",     // 2^53-1: largest exact mantissa
-		"9007199254740992",     // 2^53: forces the slow path
-		"18446744073709551616", // > uint64: digit-count bail
-		"0.0000000000000000000001",   // frac 22: last exact power
-		"0.00000000000000000000001",  // frac 23: slow path
+		"9007199254740991",          // 2^53-1: largest exact mantissa
+		"9007199254740992",          // 2^53: forces the slow path
+		"18446744073709551616",      // > uint64: digit-count bail
+		"0.0000000000000000000001",  // frac 22: last exact power
+		"0.00000000000000000000001", // frac 23: slow path
 		"1e5", "1E5", "1e-3", "2.5e10", "inf", "-Inf", "NaN", "nan",
 		"", "-", "+", ".", "-.", "1.2.3", "1,5", " 1", "1 ", "abc",
 		"0x1p4", "1_000",

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check.sh is the single verification entrypoint for the repo: build,
-# vet, the repo-native smlint analyzers, then the full test suite under
-# the race detector. CI runs exactly this script; run it locally before
-# sending a PR.
+# vet, a gofmt gate, the repo-native smlint analyzers, then the full
+# test suite under the race detector. CI runs exactly this script; run
+# it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +11,16 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# Formatting gate over tracked Go files. cmd/smlint/testdata is left
+# out: its fixtures' layout is pinned by the analyzers' want comments.
+echo "== gofmt -l (tracked .go files)"
+unformatted=$(git ls-files -z -- '*.go' ':!cmd/smlint/testdata/**' | xargs -0 -r gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go run ./cmd/smlint ./..."
 go run ./cmd/smlint ./...
